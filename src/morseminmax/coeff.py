@@ -127,10 +127,6 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]):
     return out
 
 
-def mat_eq_zero(A: Sequence[Sequence]) -> bool:
-    return all(all(v == 0 for v in row) for row in A)
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Unimodular factorization A = U @ S @ V with S diagonal, d1 | d2 | ...
@@ -155,7 +151,7 @@ class SmithDecomposition:
 
 
 def _snf_inplace(A: IntMatrix, ncols: int | None):
-    """Core Smith reduction; returns (U, S, V, Uinv, Vinv) with A = U S V."""
+    """Core Smith reduction; returns (U, S, V, Uinv) with A = U S V."""
     m = len(A)
     n = len(A[0]) if m else (ncols if ncols is not None else 0)
     S = [list(map(int, row)) for row in A]
@@ -165,7 +161,6 @@ def _snf_inplace(A: IntMatrix, ncols: int | None):
     U = identity_matrix(m)
     Uinv = identity_matrix(m)
     V = identity_matrix(n)
-    Vinv = identity_matrix(n)
 
     def row_add(i, j, q):  # row_i += q * row_j
         Si, Sj = S[i], S[j]
@@ -183,8 +178,6 @@ def _snf_inplace(A: IntMatrix, ncols: int | None):
         Vi, Vj = V[i], V[j]
         for t in range(n):
             Vi[t] -= q * Vj[t]
-        for r in range(n):
-            Vinv[r][j] += q * Vinv[r][i]
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
@@ -196,8 +189,6 @@ def _snf_inplace(A: IntMatrix, ncols: int | None):
         for r in range(m):
             S[r][i], S[r][j] = S[r][j], S[r][i]
         V[i], V[j] = V[j], V[i]
-        for r in range(n):
-            Vinv[r][i], Vinv[r][j] = Vinv[r][j], Vinv[r][i]
 
     def negate_row(i):
         S[i] = [-v for v in S[i]]
@@ -255,7 +246,7 @@ def _snf_inplace(A: IntMatrix, ncols: int | None):
         if S[t][t] < 0:
             negate_row(t)
         t += 1
-    return U, S, V, Uinv, Vinv
+    return U, S, V, Uinv
 
 
 def smith_normal_form(A: IntMatrix, *, ncols: int | None = None) -> SmithDecomposition:
@@ -265,7 +256,7 @@ def smith_normal_form(A: IntMatrix, *, ncols: int | None = None) -> SmithDecompo
     promotes a smallest-magnitude nonzero entry, which keeps intermediate
     coefficient growth moderate; S itself is canonical whatever the strategy.
     """
-    U, S, V, _, _ = _snf_inplace(A, ncols)
+    U, S, V, _ = _snf_inplace(A, ncols)
     return SmithDecomposition(U=U, S=S, V=V)
 
 
@@ -276,16 +267,46 @@ def invariant_factors(A: IntMatrix, *, ncols: int | None = None) -> tuple[int, .
 
 
 def integer_kernel_basis(A: IntMatrix, *, ncols: int | None = None) -> list[list[int]]:
-    """Basis vectors (as columns) of the integer kernel lattice of A.
+    """Echelon basis vectors (as columns) of the integer kernel lattice of A.
 
-    The basis extends to a basis of the ambient lattice, so coordinates of
-    any integer kernel vector with respect to it are integers.
+    One left-to-right column reduction of ``[A; I]``: the lowest nonzero
+    entry of a column is cancelled against the column that owns its row, by
+    division and a swap on remainder (Euclid), and a column whose A-part
+    vanishes contributes its I-part. Vector t has its last nonzero entry at
+    an index ``low_t`` with ``low_0 < low_1 < ...``, and for every s the
+    vectors with ``low_t < s`` form a basis of the integer kernel of the
+    first s columns of A. The basis therefore extends to a basis of the
+    ambient lattice, so coordinates of any integer kernel vector with respect
+    to it are integers.
     """
     m = len(A)
     n = len(A[0]) if m else (ncols if ncols is not None else 0)
-    _, S, _, _, Vinv = _snf_inplace(A, n)
-    r = sum(1 for i in range(min(m, n)) if S[i][i] != 0)
-    return [[Vinv[row][j] for row in range(n)] for j in range(r, n)]
+    if any(len(row) != n for row in A):
+        raise ValueError("ragged matrix")
+    owner: dict[int, tuple[list[int], list[int]]] = {}
+    kernel = []
+    for j in range(n):
+        col = [int(A[i][j]) for i in range(m)]
+        vec = [0] * n
+        vec[j] = 1
+        low = m - 1
+        while True:
+            while low >= 0 and not col[low]:
+                low -= 1
+            if low < 0:
+                kernel.append(vec)
+                break
+            if low not in owner:
+                owner[low] = (col, vec)
+                break
+            ocol, ovec = owner[low]
+            q = col[low] // ocol[low]
+            col = [a - q * b for a, b in zip(col, ocol)]
+            vec = [a - q * b for a, b in zip(vec, ovec)]
+            if col[low]:  # remainder is strictly smaller: it takes the row over
+                owner[low] = (col, vec)
+                col, vec = ocol, ovec
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -392,28 +413,6 @@ def field_kernel_basis(A: Sequence[Sequence[int]], coeff: Coefficients,
             vec[col] = (-v) % p if p else -v
         basis.append(vec)
     return basis
-
-
-def left_inverse(Z: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact left inverse of an integer matrix with full column rank."""
-    n = len(Z)
-    z = len(Z[0]) if n else 0
-    rows = [[Fraction(v) for v in Z[r]] + [Fraction(1 if c == r else 0) for c in range(n)]
-            for r in range(n)]
-    rank = 0
-    for col in range(z):
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return [rows[r][z:] for r in range(z)]
 
 
 def image_index(gens: Iterable[Sequence[int]], w: Sequence[int],

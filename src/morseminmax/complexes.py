@@ -24,6 +24,7 @@ from .coeff import (
 )
 from .errors import (
     EndpointCriticalError,
+    InternalInconsistencyError,
     InvalidComplexError,
     NonTriangularError,
     NonUnitDiagonalError,
@@ -161,9 +162,6 @@ class FilteredComplex:
             return self._by_name[name]
         except KeyError:
             raise ValueError(f"unknown point {name!r}") from None
-
-    def has_point(self, name: str) -> bool:
-        return name in self._by_name
 
     def all_points(self) -> list[CriticalPoint]:
         """Every point, sorted by ascending critical value (filtration order)."""
@@ -527,7 +525,10 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
             chain = {}
             for row in range(len(lower)):
                 v = newD[row][col]
-                assert v.denominator == 1
+                if v.denominator != 1:
+                    raise InternalInconsistencyError(
+                        f"degree {k} basis change gives non-integer boundary entry {v} "
+                        f"at row {row} ({lower[row].name}), column {col} ({p.name})")
                 if v != 0:
                     chain[lower[row].name] = int(v)
             if chain:

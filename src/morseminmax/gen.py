@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import FilteredComplex, change_basis
+from .errors import InternalInconsistencyError
 
 FIXTURE_NAMES = ("laudenbach", "f0", "capitanio_v", "capitanio_vprime")
 
@@ -118,7 +119,10 @@ def random_complex_plan(seed: int, sizes: dict[int, int], ambient: int,
     lowers = {k: pair_count.get(k + 1, 0) for k in range(0, ambient + 1)}
     frees = {k: clean.get(k, 0) - uppers.get(k, 0) - lowers.get(k, 0)
              for k in range(0, ambient + 1)}
-    assert all(v >= 0 for v in frees.values())
+    if any(v < 0 for v in frees.values()):
+        raise InternalInconsistencyError(
+            f"negative free counts {frees} for seed {seed}, sizes {clean}, "
+            f"ambient {ambient}")
 
     open_lowers: dict[int, list[int]] = {k: [] for k in range(0, ambient + 1)}
     schedule: list[tuple[str, int, int | None]] = []  # (role, degree, partner slot)
@@ -161,7 +165,10 @@ def random_complex_plan(seed: int, sizes: dict[int, int], ambient: int,
             plan_pairs.append((names[i], names[partner]))
         elif role == "free":
             plan_free.append(names[i])
-    assert not any(open_lowers.values())  # every opened pair was closed
+    if any(open_lowers.values()):
+        raise InternalInconsistencyError(
+            f"unclosed pair slots {open_lowers} for seed {seed}, sizes {clean}, "
+            f"ambient {ambient}")
     normal = FilteredComplex.build(ambient, points, boundaries)
 
     transforms = {}

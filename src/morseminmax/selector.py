@@ -11,15 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .barannikov import reduce as _reduce
-from .coeff import (
-    Coefficients,
-    image_index,
-    integer_kernel_basis,
-    left_inverse,
-    _snf_inplace,
-)
+from .coeff import Coefficients, integer_kernel_basis, _snf_inplace
 from .complexes import CriticalPoint, FilteredComplex, global_index, negate
 from .errors import InternalInconsistencyError
 
@@ -57,68 +52,66 @@ def maxmin_field(c: FilteredComplex, field: Coefficients) -> Selected:
 
 
 def _int_scan_data(c: FilteredComplex, lam: int):
-    """Kernel lattice, boundary coordinates, and the generator functional.
+    """Lows of the echelon cycle basis and the generator functional.
 
-    The degree-lambda cycle lattice is presented by an integer kernel basis Z;
-    boundaries are rewritten in Z-coordinates, and the Smith form of that
-    presentation yields a functional w that kills boundaries and maps the
-    cycle lattice onto the integers, exhibiting cycles-mod-boundaries as Z.
+    The degree-lambda cycle lattice is presented by the echelon integer
+    kernel basis H (``coeff.integer_kernel_basis``), whose vector t ends at
+    index ``lows[t]``. Boundaries are rewritten in H-coordinates by integer
+    back-substitution on the lows, and the Smith form of that presentation
+    yields a functional w that kills boundaries and maps the cycle lattice
+    onto the integers, exhibiting cycles-mod-boundaries as Z.
     """
     cached = c._cache.get("int_scan")
     if cached is not None:
         return cached
     n_lam = len(c.points(lam))
     down = [list(r) for r in c.matrix(lam)] if c.points(lam - 1) else []
-    Z = integer_kernel_basis(down, ncols=n_lam)
-    z = len(Z)
+    H = integer_kernel_basis(down, ncols=n_lam)
+    lows = [max(i for i, v in enumerate(h) if v) for h in H]
+    z = len(H)
     up_pts = c.points(lam + 1)
     up = c.matrix(lam + 1)
-    bcols = [[up[i][j] for i in range(n_lam)] for j in range(len(up_pts))]
-    L = left_inverse([[Z[j][i] for j in range(z)] for i in range(n_lam)]) if z else []
-    Y = []
-    for col in bcols:
-        coords = [sum(L[r][i] * col[i] for i in range(n_lam)) for r in range(z)]
-        if any(x.denominator != 1 for x in coords):
-            raise InternalInconsistencyError("boundary outside the cycle lattice")
-        Y.append([int(x) for x in coords])
-    Ymat = [[Y[j][r] for j in range(len(Y))] for r in range(z)]
-    _, S, _, Uinv, _ = _snf_inplace(Ymat, len(Y))
-    r = sum(1 for i in range(min(z, len(Y))) if S[i][i] != 0)
+    Y = [[0] * len(up_pts) for _ in range(z)]
+    for j, p in enumerate(up_pts):
+        rest = [up[i][j] for i in range(n_lam)]
+        for t in range(z - 1, -1, -1):
+            q, rem = divmod(rest[lows[t]], H[t][lows[t]])
+            if rem:
+                break
+            if q:
+                Y[t][j] = q
+                rest = [a - q * b for a, b in zip(rest, H[t])]
+        if any(rest):
+            raise InternalInconsistencyError(
+                f"boundary of {p.name} (degree {lam + 1}) outside the cycle lattice")
+    _, S, _, Uinv = _snf_inplace(Y, len(up_pts))
+    r = sum(1 for i in range(min(z, len(up_pts))) if S[i][i] != 0)
     divisors = [S[i][i] for i in range(r)]
     if z - r != 1 or any(d != 1 for d in divisors):
         raise InternalInconsistencyError(
             "cycle/boundary presentation is not rank one and torsion free")
-    w = Uinv[z - 1]
-    data = (Z, Y, w, L)
+    data = (lows, Uinv[z - 1])
     c._cache["int_scan"] = data
     return data
 
 
 def minmax_int(c: FilteredComplex) -> Selected:
     """Smallest critical value whose prefix carries an integer cycle that
-    generates the global homology; the witness is the point at that value."""
+    generates the global homology; the witness is the point at that value.
+
+    The cycles of the first s points are spanned by the basis vectors with
+    low below s, so the first t where gcd(w[0..t]) is 1 gives the witness.
+    """
     cached = c._cache.get("minmax_int")
     if cached is not None:
         return cached
     lam = global_index(c)
-    Z, Y, w, L = _int_scan_data(c, lam)
-    n_lam = len(c.points(lam))
-    down_full = [list(r) for r in c.matrix(lam)] if c.points(lam - 1) else []
-    for count, point in enumerate(c.points(lam), start=1):
-        if down_full:
-            restricted = [row[:count] for row in down_full]
-            kernel = integer_kernel_basis(restricted, ncols=count)
-        else:
-            kernel = integer_kernel_basis([], ncols=count)
-        gens = []
-        for vec in kernel:
-            padded = list(vec) + [0] * (n_lam - count)
-            coords = [sum(L[r][i] * padded[i] for i in range(n_lam))
-                      for r in range(len(Z))]
-            if any(x.denominator != 1 for x in coords):
-                raise InternalInconsistencyError("prefix cycle outside the lattice")
-            gens.append([int(x) for x in coords])
-        if image_index(gens, w, Y) == 1:
+    lows, w = _int_scan_data(c, lam)
+    g = 0
+    for low, wt in zip(lows, w):
+        g = gcd(g, wt)
+        if g == 1:
+            point = c.points(lam)[low]
             result = (point.value, point)
             c._cache["minmax_int"] = result
             return result

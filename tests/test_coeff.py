@@ -11,12 +11,11 @@ from morseminmax.coeff import (
     integer_kernel_basis,
     invariant_factors,
     is_prime,
-    left_inverse,
     rank_over,
     smith_normal_form,
 )
 
-from helpers import det, mat_mul
+from helpers import det, mat_mul, rank_fraction
 
 
 small_matrices = st.integers(0, 6).flatmap(
@@ -157,12 +156,22 @@ def test_integer_kernel_basis():
     assert integer_kernel_basis([[1, 0], [0, 1]]) == []
 
 
-def test_left_inverse():
-    Z = [[2, 1], [1, 0], [0, 1]]
-    L = left_inverse(Z)
-    assert mat_mul(L, Z) == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        left_inverse([[1, 2], [2, 4]])
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_integer_kernel_basis_is_echelon(A):
+    n = len(A[0]) if A else 0
+    basis = integer_kernel_basis(A, ncols=n)
+    for vec in basis:
+        assert len(vec) == n
+        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in A)
+    lows = [max(i for i, v in enumerate(vec) if v) for vec in basis]
+    assert all(a < b for a, b in zip(lows, lows[1:]))
+    for s in range(n + 1):
+        prefix = [vec for vec, low in zip(basis, lows) if low < s]
+        assert len(prefix) == s - rank_fraction([row[:s] for row in A])
+        # saturated: the prefix vectors span every integer cycle of the
+        # first s columns, not a finite-index sublattice of them
+        assert set(invariant_factors(prefix, ncols=n)) <= {1}
 
 
 def test_image_index_examples():

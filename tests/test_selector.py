@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from morseminmax.barannikov import Obstructed, reduce_integer
 from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS
-from morseminmax.complexes import FilteredComplex, negate
+from morseminmax.complexes import FilteredComplex, negate, validate
 from morseminmax.errors import NotAdmissibleError
 from morseminmax.gen import (
     paper_fixture,
@@ -202,6 +205,108 @@ def test_split_complex_with_characteristic_three():
     report = selector_report(c, [INTEGERS, F2, F3, RATIONALS])
     assert not report.int_equal
     assert report.chain_ok and report.propagation_ok
+
+
+def _primitive_kernel(rows, ncols):
+    """Integer kernel vectors of an integer matrix: a Fraction reduced row
+    echelon kernel with each vector scaled to coprime integer entries."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [v / rows[rank][col] for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    basis = []
+    for free in (col for col in range(ncols) if col not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -rows[r][free]
+        den = 1
+        for v in vec:
+            den = den * v.denominator // gcd(den, v.denominator)
+        ints = [int(v * den) for v in vec]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        basis.append([v // g for v in ints])
+    return basis
+
+
+def _family_complex(seed):
+    """Seeded ambient-2 complex with rank(H1) = 1 when the random boundary
+    has full rank; entries of the degree-1 boundary and the kernel weights of
+    the degree-2 boundary are drawn from [-3, 3]."""
+    rng = random.Random(seed)
+    n0, n2 = rng.randint(1, 3), rng.randint(0, 3)
+    degrees = [0] * n0 + [1] * (n0 + n2 + 1) + [2] * n2
+    rng.shuffle(degrees)
+    names = {0: [], 1: [], 2: []}
+    value = {}
+    for v, k in enumerate(degrees, start=1):
+        name = f"x{k}_{len(names[k])}"
+        names[k].append(name)
+        value[name] = v
+    bnd = {}
+    for b in names[1]:
+        chain = {a: rng.randint(-3, 3) for a in names[0] if value[a] < value[b]}
+        bnd[b] = {a: x for a, x in chain.items() if x}
+    for t in names[2]:
+        below = [b for b in names[1] if value[b] < value[t]]
+        rows = [[bnd[b].get(a, 0) for b in below] for a in names[0]]
+        col = [0] * len(below)
+        for vec in _primitive_kernel(rows, len(below)):
+            q = rng.randint(-3, 3)
+            col = [x + q * y for x, y in zip(col, vec)]
+        bnd[t] = {b: x for b, x in zip(below, col) if x}
+    points = [(n, k, value[n]) for k in names for n in names[k]]
+    return FilteredComplex.build(2, points, bnd)
+
+
+# (minmax_int, maxmin_int) witnesses of every seed in range(1000) whose
+# complex is valid, admissible and integer-obstructed
+OBSTRUCTED_WITNESSES = {
+    10: ("x1_3", "x1_0"), 59: ("x1_1", "x1_0"), 90: ("x1_1", "x1_0"),
+    107: ("x1_4", "x1_3"), 108: ("x1_1", "x1_0"), 121: ("x1_2", "x1_0"),
+    141: ("x1_2", "x1_0"), 146: ("x1_1", "x1_0"), 223: ("x1_3", "x1_1"),
+    228: ("x1_4", "x1_1"), 233: ("x1_0", "x1_0"), 242: ("x1_2", "x1_1"),
+    251: ("x1_2", "x1_0"), 282: ("x1_3", "x1_0"), 360: ("x1_1", "x1_0"),
+    379: ("x1_2", "x1_0"), 390: ("x1_3", "x1_1"), 397: ("x1_1", "x1_0"),
+    401: ("x1_2", "x1_1"), 426: ("x1_1", "x1_0"), 475: ("x1_1", "x1_0"),
+    484: ("x1_4", "x1_3"), 518: ("x1_4", "x1_4"), 535: ("x1_3", "x1_0"),
+    552: ("x1_1", "x1_0"), 568: ("x1_1", "x1_0"), 608: ("x1_2", "x1_2"),
+    676: ("x1_4", "x1_0"), 747: ("x1_2", "x1_0"), 757: ("x1_2", "x1_0"),
+    758: ("x1_2", "x1_1"), 761: ("x1_2", "x1_0"), 852: ("x1_3", "x1_2"),
+    876: ("x1_2", "x1_0"), 879: ("x1_2", "x1_1"), 880: ("x1_1", "x1_0"),
+    903: ("x1_1", "x1_0"), 998: ("x1_1", "x1_0"),
+}
+
+
+def test_int_selectors_on_obstructed_family():
+    witnesses = {}
+    for seed in range(1000):
+        c = _family_complex(seed)
+        report = validate(c)
+        if not (report.ok and report.admissible):
+            continue
+        if not isinstance(reduce_integer(c), Obstructed):
+            continue
+        (mm_v, mm_p), (sm_v, sm_p) = minmax_int(c), maxmin_int(c)
+        witnesses[seed] = (mm_p.name, sm_p.name)
+        assert (mm_v, sm_v) == (mm_p.value, sm_p.value)
+        neg_v, neg_p = minmax_int(negate(c))
+        assert (-neg_v, neg_p.name) == (sm_v, sm_p.name)
+        for field in (F2, F3, RATIONALS):
+            assert sm_v <= minmax_field(c, field)[0] <= mm_v
+    assert witnesses == OBSTRUCTED_WITNESSES
 
 
 def test_capitanio_criterion(vprime):
