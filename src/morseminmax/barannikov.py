@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .coeff import Coefficients
+from .coeff import Coefficients, sparse_columns, sparse_product_columns
 from .complexes import CriticalPoint, FilteredComplex
 from .errors import InternalInconsistencyError
 
@@ -222,30 +222,36 @@ def _assemble(c: FilteredComplex, per_degree, ops, coeff) -> CanonicalForm:
         basis=basis,
         normal=normal,
     )
-    _verify_normal_form(c, form, ops)
+    _verify_normal_form(c, form)
     return form
 
 
-def _verify_normal_form(c: FilteredComplex, form: CanonicalForm, ops) -> None:
-    """Check D_k P_k = P_{k-1} B_k exactly (equivalent to B = P^{-1} D P)."""
-    p = getattr(ops, "p", None)
+def _verify_normal_form(c: FilteredComplex, form: CanonicalForm) -> None:
+    """Check D_k P_k = P_{k-1} B_k exactly (equivalent to B = P^{-1} D P).
+
+    Both sides are built column by column from sparse columns, so the check
+    costs what the nonzero entries of D, P and B cost.
+    """
+    p = form.coeff.p
     for k in form.normal:
         lower = c.points(k - 1)
         upper = c.points(k)
-        D = c.matrix(k)
-        P = form.basis[k]
-        Plow = form.basis.get(k - 1)
-        B = form.normal[k]
-        for j in range(len(upper)):
-            for i in range(len(lower)):
-                lhs = sum(ops.of(D[i][t]) * P[t][j] for t in range(len(upper)))
-                rhs = sum(Plow[i][t] * B[t][j] for t in range(len(lower))) \
-                    if Plow is not None else ops.zero
-                if p is not None:
-                    lhs, rhs = lhs % p, rhs % p
-                if lhs != rhs:
-                    raise InternalInconsistencyError(
-                        f"normal form verification failed at degree {k} ({i},{j})")
+        D = sparse_columns(c.matrix(k), len(upper))
+        P = sparse_columns(form.basis[k], len(upper))
+        Plow = sparse_columns(form.basis.get(k - 1, ()), len(lower))
+        B = sparse_columns(form.normal[k], len(upper))
+        lhs_cols = sparse_product_columns(D, P, len(lower))
+        rhs_cols = sparse_product_columns(Plow, B, len(lower))
+        for j, (lhs, rhs) in enumerate(zip(lhs_cols, rhs_cols)):
+            if p is not None:
+                lhs = [a % p for a in lhs]
+                rhs = [b % p for b in rhs]
+            if lhs != rhs:
+                i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                raise InternalInconsistencyError(
+                    f"normal form verification failed over {form.coeff.token()} "
+                    f"at degree {k}: row {i} ({lower[i].name}), "
+                    f"column {j} ({upper[j].name})")
 
 
 def reduce(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
@@ -253,17 +259,24 @@ def reduce(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
 
     The pairing is unique: any two value-order triangular bases put the
     boundary operator into the same normal form, so the output is invariant
-    under valid basis changes of the input.
+    under valid basis changes of the input. The form is memoized on the
+    (immutable) complex, one per field, and must not be modified.
     """
     if field.is_integers:
         raise ValueError("use reduce_integer for integer coefficients")
+    key = ("reduce", field.token())
+    cached = c._cache.get(key)
+    if cached is not None:
+        return cached
     ops = _ops_for(field)
     per_degree = {}
     for k in c.degrees():
         D = c.matrix(k)
         per_degree[k] = _reduce_degree(
             D, len(c.points(k - 1)), len(c.points(k)), ops)
-    return _assemble(c, per_degree, ops, field)
+    form = _assemble(c, per_degree, ops, field)
+    c._cache[key] = form
+    return form
 
 
 def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:

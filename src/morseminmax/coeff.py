@@ -127,6 +127,30 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]):
     return out
 
 
+def sparse_columns(A: Sequence[Sequence], ncols: int = 0) -> list[list[tuple[int, object]]]:
+    """The nonzero ``(row, value)`` entries of each column of a row-major matrix.
+
+    ``ncols`` gives the column count when A has no rows.
+    """
+    if not A:
+        return [[] for _ in range(ncols)]
+    return [[(i, v) for i, v in enumerate(col) if v] for col in zip(*A)]
+
+
+def sparse_product_columns(A_cols, B_cols, nrows: int):
+    """Yield each column of A @ B densely, from the sparse columns of A and B.
+
+    Column j costs one scaled copy of a column of A per nonzero of column j
+    of B, so the whole product costs what its nonzero terms cost.
+    """
+    for terms in B_cols:
+        out = [0] * nrows
+        for t, b in terms:
+            for i, a in A_cols[t]:
+                out[i] += a * b
+        yield out
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Unimodular factorization A = U @ S @ V with S diagonal, d1 | d2 | ...
@@ -233,8 +257,11 @@ def _snf_inplace(A: IntMatrix, ncols: int | None):
                         break
             if restart:
                 continue
-            # pivot must divide the whole trailing block for the chain to hold
+            # pivot must divide the whole trailing block for the chain to hold;
+            # a unit pivot divides everything
             d = S[t][t]
+            if d in (1, -1):
+                break
             bad_row = None
             for i in range(t + 1, m):
                 if any(S[i][j] % d for j in range(t + 1, n)):

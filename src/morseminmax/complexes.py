@@ -21,6 +21,8 @@ from .coeff import (
     mat_mul,
     rank_over,
     solve_upper_triangular,
+    sparse_columns,
+    sparse_product_columns,
 )
 from .errors import (
     EndpointCriticalError,
@@ -164,8 +166,15 @@ class FilteredComplex:
             raise ValueError(f"unknown point {name!r}") from None
 
     def all_points(self) -> list[CriticalPoint]:
-        """Every point, sorted by ascending critical value (filtration order)."""
-        return sorted(self._by_name.values(), key=lambda p: (p.value, p.name))
+        """Every point, sorted by ascending critical value (filtration order).
+
+        The order is computed once per complex; each call returns a new list.
+        """
+        order = self._cache.get("all_points")
+        if order is None:
+            order = tuple(sorted(self._by_name.values(), key=lambda p: (p.value, p.name)))
+            self._cache["all_points"] = order
+        return list(order)
 
     @property
     def n_points(self) -> int:
@@ -374,22 +383,20 @@ def validate(c: FilteredComplex) -> ValidationReport:
         if a.value == b.value:
             violations.append(Violation(
                 "duplicate_value", f"{a.name} and {b.name} share value {a.value}"))
+    cols = {k: sparse_columns(c.matrix(k), len(c.points(k))) for k in c.degrees()}
     for k in c.degrees():
         lower = c.points(k - 1)
-        mat = c.matrix(k)
-        for col, p in enumerate(c.points(k)):
-            for row in range(len(lower)):
-                if mat[row][col] != 0 and p.value <= lower[row].value:
+        for p, terms in zip(c.points(k), cols[k]):
+            for row, _ in terms:
+                if p.value <= lower[row].value:
                     violations.append(Violation(
                         "ascent_violation",
                         f"boundary of {p.name} (value {p.value}) hits "
                         f"{lower[row].name} (value {lower[row].value})"))
     for k in c.degrees():
         if c.points(k - 1) and c.points(k + 1) and k + 1 in c._matrices:
-            down = [list(r) for r in c.matrix(k)]
-            up = [list(r) for r in c.matrix(k + 1)]
-            prod = mat_mul(down, up)
-            if any(any(v != 0 for v in row) for row in prod):
+            prod = sparse_product_columns(cols[k], cols[k + 1], len(c.points(k - 1)))
+            if any(any(col) for col in prod):
                 violations.append(Violation(
                     "dd_nonzero", f"boundary squared is nonzero from degree {k + 1}"))
     ok = not violations

@@ -1,18 +1,23 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
+from morseminmax import barannikov
 from morseminmax.barannikov import (
     Certified,
     Obstructed,
+    _verify_normal_form,
     betti,
     reduce,
     reduce_integer,
 )
 from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS
-from morseminmax.complexes import change_basis, restrict, validate
+from morseminmax.complexes import change_basis, parse_complex, restrict, serialize, validate
+from morseminmax.errors import InternalInconsistencyError
 from morseminmax.gen import paper_fixture, random_admissible_complex, single_point
+from morseminmax.selector import minmax_field
 
 F2 = Coefficients.prime_field(2)
 F3 = Coefficients.prime_field(3)
@@ -160,3 +165,71 @@ def test_normal_form_shape_random():
         c = random_admissible_complex(seed, max_points=24)
         for field in (F2, RATIONALS):
             check_form(c, reduce(c, field))
+
+
+def _form_over(c, coeff):
+    if coeff.is_integers:
+        outcome = reduce_integer(c)
+        assert isinstance(outcome, Certified)
+        return outcome.form
+    return reduce(c, coeff)
+
+
+@pytest.mark.parametrize("coeff", [RATIONALS, F3, INTEGERS], ids=str)
+def test_verify_normal_form_catches_corrupt_basis(coeff):
+    c = random_admissible_complex(7, max_points=20)
+    p = coeff.p or 0
+    form = _form_over(c, coeff)
+    _verify_normal_form(c, form)
+    # every column t of D_k that is nonzero (mod p) makes entry (t, j) of P_k visible
+    seen = [(k, t) for k in form.normal for t in range(len(c.points(k)))
+            if any(row[t] % p if p else row[t] for row in c.matrix(k))]
+    assert seen
+    for k, t in seen:
+        j = len(c.points(k)) - 1
+        bad = copy.deepcopy(form)
+        bad.basis[k][t][j] += 1
+        with pytest.raises(InternalInconsistencyError, match=f"over {coeff.token()} "):
+            _verify_normal_form(c, bad)
+
+
+@pytest.mark.parametrize("coeff", [RATIONALS, F3, INTEGERS], ids=str)
+def test_verify_normal_form_catches_corrupt_normal(coeff):
+    c = random_admissible_complex(7, max_points=20)
+    form = _form_over(c, coeff)
+    checked = 0
+    for k in form.normal:
+        upper, lower = c.points(k), c.points(k - 1)
+        for i in range(len(lower)):
+            for j in range(len(upper)):
+                bad = copy.deepcopy(form)
+                bad.normal[k][i][j] += 1
+                with pytest.raises(InternalInconsistencyError) as err:
+                    _verify_normal_form(c, bad)
+                # the message names the field and the points of the failing entry
+                msg = str(err.value)
+                assert f"over {coeff.token()} at degree {k}:" in msg
+                assert f"column {j} ({upper[j].name})" in msg
+                assert any(f"({p.name})" in msg for p in lower)
+                checked += 1
+    assert checked
+
+
+def test_reduce_runs_once_per_complex_and_field(monkeypatch):
+    calls = []
+    real = barannikov._reduce_degree
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(barannikov, "_reduce_degree", counting)
+    c = random_admissible_complex(5, max_points=20)
+    minmax_field(c, F3)
+    for k in range(c.ambient_dim + 1):
+        betti(c, F3, k)
+    assert len(calls) == len(c.degrees())
+    assert reduce(c, F3) is reduce(c, F3)
+    assert reduce(c, F3) == reduce(parse_complex(serialize(c)), F3)
+    assert reduce(c, F5).coeff == F5
+    assert len(calls) == 3 * len(c.degrees())

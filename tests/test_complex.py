@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morseminmax import coeff
 from morseminmax.complexes import (
     FilteredComplex,
     change_basis,
@@ -116,6 +117,33 @@ def test_validate_dd_nonzero():
     report = validate(c)
     assert not report.ok
     assert any(v.code == "dd_nonzero" for v in report.violations)
+
+
+@st.composite
+def boundary_maps(draw):
+    """Small complexes with arbitrary boundary coefficients, so d∘d may fail."""
+    ambient = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(0, 3), min_size=ambient + 1, max_size=ambient + 1))
+    points = [(f"p{k}_{i}", k, i + 10 * k) for k, n in enumerate(sizes) for i in range(n)]
+    boundaries = {}
+    for name, k, _ in points:
+        lower = [q for q, d, _ in points if d == k - 1]
+        boundaries[name] = {q: draw(st.sampled_from([0, 0, 1, -1, 2])) for q in lower}
+    return FilteredComplex.build(ambient, points, boundaries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_maps())
+def test_validate_dd_matches_dense_product(c):
+    expected = []
+    for k in c.degrees():
+        if c.points(k - 1) and c.points(k + 1):
+            prod = coeff.mat_mul([list(r) for r in c.matrix(k)],
+                                 [list(r) for r in c.matrix(k + 1)])
+            if any(any(row) for row in prod):
+                expected.append(f"boundary squared is nonzero from degree {k + 1}")
+    got = [v.detail for v in validate(c).violations if v.code == "dd_nonzero"]
+    assert got == expected
 
 
 def test_validate_bad_degree():
