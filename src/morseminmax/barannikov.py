@@ -7,15 +7,18 @@ or the column dies. A surviving pivot couples the column's point with the
 pivot row's point one degree down; a zeroed column is a cycle and its point
 is free unless it is later consumed as a pivot target.
 
-A second pass assembles the basis change realizing the normal form: the
-column of every coupled upper point is rescaled so its boundary is exactly
-the replacement basis vector of its partner, which keeps one entry equal to
-one per coupled column and zeros elsewhere.
+This is the standard persistence reduction (Zomorodian-Carlsson 2005) with
+each pivot normalised once: a column is scaled to pivot 1 when it takes its
+pivot, so later cancellations need no division, and the reduced column is
+exactly the replacement basis vector of its partner. The basis change that
+realizes the normal form is therefore read off the reduction directly, with
+one entry equal to one per coupled column of the normal form and zeros
+elsewhere.
 
 The integer variant runs the same greedy reduction over Z and reports a
-certificate only when every cancellation divides exactly and every surviving
-pivot is a unit, which is precisely when a value-order triangular basis
-change with +-1 diagonal brings the boundary operator to normal form.
+certificate only when every surviving pivot is a unit, which is precisely
+when a value-order triangular basis change with +-1 diagonal brings the
+boundary operator to normal form.
 """
 
 from __future__ import annotations
@@ -24,65 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .coeff import Coefficients, sparse_columns, sparse_product_columns
+from .coeff import INTEGERS, Coefficients, sparse_columns, sparse_product_columns
 from .complexes import CriticalPoint, FilteredComplex
 from .errors import InternalInconsistencyError
-
-
-class _RationalOps:
-    kind = "Q"
-
-    @staticmethod
-    def of(v):
-        return Fraction(v)
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-
-class _PrimeOps:
-    kind = "Fp"
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def of(self, v):
-        return v % self.p
-
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
-
-
-class _IntegerOps:
-    kind = "Z"
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def of(v):
-        return int(v)
-
-    @staticmethod
-    def div(a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise InternalInconsistencyError(
-                f"inexact integer cancellation {a}/{b} against a unit pivot")
-        return q
-
-
-def _ops_for(coeff: Coefficients):
-    if coeff.kind == "Q":
-        return _RationalOps()
-    if coeff.kind == "Fp":
-        return _PrimeOps(coeff.p)
-    return _IntegerOps()
 
 
 class _Obstruction(Exception):
@@ -92,52 +39,68 @@ class _Obstruction(Exception):
         self.pivot = pivot
 
 
-def _low(col):
-    for i in range(len(col) - 1, -1, -1):
+def _low(col, top):
+    """Largest row index ``i <= top`` with ``col[i]`` nonzero, or None."""
+    for i in range(top, -1, -1):
         if col[i] != 0:
             return i
     return None
 
 
-def _reduce_degree(D, nrows, ncols, ops, *, degree=None, unit_pivots=False):
+def _inverse(pivot, p):
+    """Inverse of a nonzero pivot, mod p over F_p. Over Z and Q a +-1 pivot
+    is its own inverse, so integer entries stay integers until a column
+    meets a pivot that is not a unit."""
+    if p is not None:
+        return pow(pivot, -1, p)
+    return pivot if pivot in (1, -1) else 1 / Fraction(pivot)
+
+
+def _reduce_degree(D, nrows, ncols, coeff: Coefficients, *, degree=None):
     """Greedy left-to-right column reduction of one boundary matrix.
 
     Returns (pairs, Ccols, Rcols): ``pairs`` maps column index to its pivot
-    row, ``Ccols`` are the accumulated column operations (column-major, unit
-    diagonal), and ``Rcols = D @ C`` are the reduced columns with pairwise
-    distinct pivots.
+    row, ``Ccols`` are the accumulated column operations (column-major,
+    value-order triangular) and ``Rcols = D @ C`` are the reduced columns
+    with pairwise distinct pivots. A column is scaled to pivot 1 when it
+    takes its pivot, so every later cancellation is ``col -= col[low] *
+    other`` with no division. Over Z a surviving pivot other than +-1 raises
+    ``_Obstruction`` before any scaling.
     """
-    Rcols = [[ops.of(D[i][j]) for i in range(nrows)] for j in range(ncols)]
-    Ccols = [[ops.one if i == j else ops.zero for i in range(ncols)]
-             for j in range(ncols)]
+    p = coeff.p
+    Rcols = [[D[i][j] % p if p else D[i][j] for i in range(nrows)] for j in range(ncols)]
+    Ccols = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     owner: dict[int, int] = {}
     pairs: dict[int, int] = {}
-    p = getattr(ops, "p", None)
     for j in range(ncols):
-        col = Rcols[j]
-        low = _low(col)
+        col, cj = Rcols[j], Ccols[j]
+        low = _low(col, nrows - 1)
         while low is not None and low in owner:
             k = owner[low]
-            other = Rcols[k]
-            q = ops.div(col[low], other[low])
+            q = col[low]
+            other, ck = Rcols[k], Ccols[k]
             if p is None:
                 for i in range(low + 1):
                     col[i] -= q * other[i]
-                ck, cj = Ccols[k], Ccols[j]
-                for i in range(len(cj)):
+                for i in range(k + 1):
                     cj[i] -= q * ck[i]
             else:
                 for i in range(low + 1):
                     col[i] = (col[i] - q * other[i]) % p
-                ck, cj = Ccols[k], Ccols[j]
-                for i in range(len(cj)):
+                for i in range(k + 1):
                     cj[i] = (cj[i] - q * ck[i]) % p
-            low = _low(col)
-        if low is not None:
-            if unit_pivots and col[low] not in (1, -1):
-                raise _Obstruction(degree, j, col[low])
-            owner[low] = j
-            pairs[j] = low
+            low = _low(col, low - 1)
+        if low is None:
+            continue
+        if coeff.is_integers and col[low] not in (1, -1):
+            raise _Obstruction(degree, j, col[low])
+        inv = _inverse(col[low], p)
+        if inv != 1:
+            for v, top in ((col, low), (cj, j)):
+                for i in range(top + 1):
+                    v[i] = v[i] * inv % p if p else v[i] * inv
+        owner[low] = j
+        pairs[j] = low
     return pairs, Ccols, Rcols
 
 
@@ -194,33 +157,27 @@ def _columns_to_rows(cols, nrows):
     return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
 
 
-def _assemble(c: FilteredComplex, per_degree, ops, coeff) -> CanonicalForm:
-    Pcols = {k: [list(col) for col in C] for k, (_, C, _) in per_degree.items()}
-    Bcols = {k: [[ops.zero] * len(c.points(k - 1)) for _ in c.points(k)]
+def _assemble(c: FilteredComplex, per_degree, coeff) -> CanonicalForm:
+    """P_k = C_k except that a pivot row m of D_k takes the reduced column
+    R_j (pivot 1) of its partner j, and B_k holds a 1 at (m, j)."""
+    Pcols = {k: C for k, (_, C, _) in per_degree.items()}
+    Bcols = {k: [[0] * len(c.points(k - 1)) for _ in c.points(k)]
              for k in per_degree}
-    pairs_points = []
+    partner = {}  # upper point name -> (upper, lower)
     for k, (pairs, _C, R) in per_degree.items():
-        for j, m in sorted(pairs.items()):
-            pivot = R[j][m]
-            Pcols[k][j] = [ops.div(x, pivot) for x in Pcols[k][j]]
-            if k - 1 in Pcols:
-                Pcols[k - 1][m] = [ops.div(x, pivot) for x in R[j]]
-            Bcols[k][j][m] = ops.one
-            pairs_points.append((c.points(k)[j], c.points(k - 1)[m]))
-    paired = {p.name for pair in pairs_points for p in pair}
-    free = tuple(p for p in c.all_points() if p.name not in paired)
-    basis = {}
-    normal = {}
-    for k in per_degree:
-        mk = len(c.points(k))
-        basis[k] = _columns_to_rows(Pcols[k], mk)
-        normal[k] = _columns_to_rows(Bcols[k], len(c.points(k - 1)))
+        for j, m in pairs.items():
+            Pcols[k - 1][m] = R[j]
+            Bcols[k][j][m] = 1
+            upper = c.points(k)[j]
+            partner[upper.name] = (upper, c.points(k - 1)[m])
+    paired = {p.name for pair in partner.values() for p in pair}
+    order = c.all_points()  # ascending value, so pairs come out ordered by upper point
     form = CanonicalForm(
         coeff=coeff,
-        pairs=tuple(sorted(pairs_points, key=lambda pr: (pr[0].value, pr[0].name))),
-        free=free,
-        basis=basis,
-        normal=normal,
+        pairs=tuple(partner[p.name] for p in order if p.name in partner),
+        free=tuple(p for p in order if p.name not in paired),
+        basis={k: _columns_to_rows(Pcols[k], len(c.points(k))) for k in per_degree},
+        normal={k: _columns_to_rows(Bcols[k], len(c.points(k - 1))) for k in per_degree},
     )
     _verify_normal_form(c, form)
     return form
@@ -268,13 +225,10 @@ def reduce(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
     cached = c._cache.get(key)
     if cached is not None:
         return cached
-    ops = _ops_for(field)
-    per_degree = {}
-    for k in c.degrees():
-        D = c.matrix(k)
-        per_degree[k] = _reduce_degree(
-            D, len(c.points(k - 1)), len(c.points(k)), ops)
-    form = _assemble(c, per_degree, ops, field)
+    per_degree = {k: _reduce_degree(c.matrix(k), len(c.points(k - 1)),
+                                    len(c.points(k)), field)
+                  for k in c.degrees()}
+    form = _assemble(c, per_degree, field)
     c._cache[key] = form
     return form
 
@@ -287,17 +241,15 @@ def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
     rational one. Obstructed returns the first non-unit surviving pivot as a
     witness and claims nothing else.
     """
-    ops = _IntegerOps()
     per_degree = {}
     for k in c.degrees():
-        D = c.matrix(k)
         try:
             per_degree[k] = _reduce_degree(
-                D, len(c.points(k - 1)), len(c.points(k)), ops,
-                degree=k, unit_pivots=True)
+                c.matrix(k), len(c.points(k - 1)), len(c.points(k)), INTEGERS,
+                degree=k)
         except _Obstruction as ob:
             return Obstructed(column=c.points(k)[ob.column], pivot=ob.pivot)
-    form = _assemble(c, per_degree, ops, Coefficients.integers())
+    form = _assemble(c, per_degree, INTEGERS)
     return Certified(form=form)
 
 

@@ -104,11 +104,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_input(path: str) -> str | None:
+def _read_input(path: str) -> bytes | str | None:
+    """The raw input; ``parse_complex`` decodes it and reports bad bytes."""
     if path == "-":
-        return sys.stdin.read()
+        return getattr(sys.stdin, "buffer", sys.stdin).read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)

@@ -459,18 +459,3 @@ def image_index(gens: Iterable[Sequence[int]], w: Sequence[int],
         d = gcd(d, sum(a * b for a, b in zip(w, vec)))
     return abs(d)
 
-
-def solve_upper_triangular(P: Sequence[Sequence], B: Sequence[Sequence]):
-    """Solve P X = B exactly for upper-triangular P with nonzero diagonal."""
-    n = len(P)
-    if n == 0:
-        return [list(row) for row in B]
-    ncols = len(B[0]) if B else 0
-    X = [[Fraction(0)] * ncols for _ in range(n)]
-    for j in range(ncols):
-        for i in range(n - 1, -1, -1):
-            acc = Fraction(B[i][j])
-            for t in range(i + 1, n):
-                acc -= Fraction(P[i][t]) * X[t][j]
-            X[i][j] = acc / Fraction(P[i][i])
-    return X

@@ -18,9 +18,7 @@ from typing import Iterable, Mapping
 from .coeff import (
     RATIONALS,
     invariant_factors,
-    mat_mul,
     rank_over,
-    solve_upper_triangular,
     sparse_columns,
     sparse_product_columns,
 )
@@ -198,6 +196,13 @@ class FilteredComplex:
                 and self._points == other._points
                 and self._matrices == other._matrices)
 
+    def __hash__(self):
+        """Hash of the canonical serialization, which equal complexes share."""
+        h = self._cache.get("hash")
+        if h is None:
+            h = self._cache["hash"] = hash(serialize(self))
+        return h
+
     def __repr__(self):
         return (f"FilteredComplex(ambient={self.ambient_dim}, "
                 f"points={self.n_points})")
@@ -223,9 +228,21 @@ def serialize(c: FilteredComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-_INT_RE = re.compile(r"-?\d+\Z")
-_VALUE_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z")
-_TERM_RE = re.compile(r"(-?\d+)\*([A-Za-z0-9_]+)\Z")
+_NAT_RE = re.compile(r"[0-9]+\Z")
+_INT_RE = re.compile(r"-?[0-9]+\Z")
+_VALUE_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
+_TERM_RE = re.compile(r"(-?[0-9]+)\*([A-Za-z0-9_]+)\Z")
+
+
+def _decode(data: bytes) -> str:
+    """UTF-8 text of ``data``; a bad byte is a ParseError at its line and column."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a stand-in character at the bad byte takes its line and column
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"input is not UTF-8 ({exc.reason})",
+                         len(lines), len(lines[-1])) from None
 
 
 def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
@@ -235,7 +252,7 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
     (the default) the parsed complex is validated and InvalidComplexError is
     raised when any complex invariant fails.
     """
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    text = _decode(data) if isinstance(data, (bytes, bytearray)) else data
     ambient: int | None = None
     points: list[tuple[str, int, Fraction]] = []
     boundaries: dict[str, dict[str, int]] = {}
@@ -244,6 +261,13 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
     def err(msg, lineno, line, token=None):
         column = line.find(token) + 1 if token and token in line else 1
         raise ParseError(msg, lineno, column)
+
+    def num(tok, lineno, line):
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            err(f"number {tok[:12]}... is too long ({len(tok)} characters)",
+                lineno, line, tok)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -255,10 +279,10 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
             if head != "ambient" or len(fields) != 2:
                 err("expected 'ambient <positive integer>' as the first line",
                     lineno, raw, head)
-            if not fields[1].isdigit() or int(fields[1]) < 1:
+            ambient = num(fields[1], lineno, raw) if _NAT_RE.match(fields[1]) else 0
+            if ambient < 1:
                 err(f"ambient dimension must be a positive integer, got {fields[1]!r}",
                     lineno, raw, fields[1])
-            ambient = int(fields[1])
             continue
         if head == "ambient":
             err("duplicate ambient line", lineno, raw, head)
@@ -272,12 +296,14 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
                 err(f"duplicate point name {name!r}", lineno, raw, name)
             if not _INT_RE.match(deg_tok):
                 err(f"degree must be an integer, got {deg_tok!r}", lineno, raw, deg_tok)
+            degree = num(deg_tok, lineno, raw)
             m = _VALUE_RE.match(val_tok)
-            if not m or (m.group(2) is not None and int(m.group(2)) == 0):
+            denominator = num(m.group(2) or "1", lineno, raw) if m else 0
+            if denominator == 0:
                 err(f"bad critical value {val_tok!r}", lineno, raw, val_tok)
-            value = Fraction(int(m.group(1)), int(m.group(2) or 1))
-            points.append((name, int(deg_tok), value))
-            declared[name] = int(deg_tok)
+            value = Fraction(num(m.group(1), lineno, raw), denominator)
+            points.append((name, degree, value))
+            declared[name] = degree
         elif head == "boundary":
             if len(fields) < 4 or fields[2] != ":":
                 err("expected 'boundary <name> : <c>*<name> ...'", lineno, raw, head)
@@ -293,7 +319,7 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
                     if "*" in tok and not _INT_RE.match(tok.split("*", 1)[0]):
                         err(f"non-integer coefficient in {tok!r}", lineno, raw, tok)
                     err(f"bad boundary term {tok!r}", lineno, raw, tok)
-                coeff, tgt = int(m.group(1)), m.group(2)
+                coeff, tgt = num(m.group(1), lineno, raw), m.group(2)
                 if coeff == 0:
                     err(f"zero coefficient on {tgt!r}", lineno, raw, tok)
                 if tgt not in declared:
@@ -326,18 +352,17 @@ def _homology_data(c: FilteredComplex):
     cached = c._cache.get("homology_data")
     if cached is not None:
         return cached
+    # degrees without points have rank 0 and no torsion, so only the occupied
+    # ones are visited (a huge ambient dimension costs nothing)
+    occupied = [k for k in c.degrees() if 0 <= k <= c.ambient_dim + 1]
+    mat_rank = {k: rank_over([list(r) for r in c.matrix(k)], RATIONALS)
+                for k in occupied if c.matrix(k)}
     ranks = {}
     torsion = {}
-    mat_rank = {}
-    for k in range(0, c.ambient_dim + 2):
-        mat = c.matrix(k)
-        if mat and c.points(k):
-            mat_rank[k] = rank_over([list(r) for r in mat], RATIONALS)
-        else:
-            mat_rank[k] = 0
-    for k in range(0, c.ambient_dim + 1):
-        nk = len(c.points(k))
-        ranks[k] = nk - mat_rank[k] - mat_rank[k + 1]
+    for k in occupied:
+        if k > c.ambient_dim:
+            continue
+        ranks[k] = len(c.points(k)) - mat_rank.get(k, 0) - mat_rank.get(k + 1, 0)
         up = c.matrix(k + 1)
         if up and c.points(k + 1):
             torsion[k] = tuple(d for d in invariant_factors([list(r) for r in up]) if d > 1)
@@ -519,25 +544,30 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
         return mats.get(k) or [[1 if i == j else 0 for j in range(len(c.points(k)))]
                                for i in range(len(c.points(k)))]
 
+    # D_k P_k column by column, then back-substitution against P_{k-1},
+    # whose +-1 diagonal keeps every quotient an exact integer
     boundaries: dict[str, dict[str, int]] = {}
     for k in c.degrees():
         lower = c.points(k - 1)
         upper = c.points(k)
         if not lower or not upper:
             continue
-        D = [list(r) for r in c.matrix(k)]
-        right = mat_mul(D, P_of(k))
-        newD = solve_upper_triangular(P_of(k - 1), right)
-        for col, p in enumerate(upper):
+        Plow = P_of(k - 1)
+        Plow_cols = sparse_columns(Plow, len(lower))
+        right = sparse_product_columns(sparse_columns(c.matrix(k), len(upper)),
+                                       sparse_columns(P_of(k), len(upper)), len(lower))
+        for col, (p, rest) in enumerate(zip(upper, right)):
             chain = {}
-            for row in range(len(lower)):
-                v = newD[row][col]
-                if v.denominator != 1:
+            for row in range(len(lower) - 1, -1, -1):
+                q, rem = divmod(rest[row], Plow[row][row])
+                if rem:
                     raise InternalInconsistencyError(
-                        f"degree {k} basis change gives non-integer boundary entry {v} "
+                        f"degree {k} basis change leaves remainder {rem} "
                         f"at row {row} ({lower[row].name}), column {col} ({p.name})")
-                if v != 0:
-                    chain[lower[row].name] = int(v)
+                if q:
+                    chain[lower[row].name] = q
+                    for i, v in Plow_cols[row]:
+                        rest[i] -= q * v
             if chain:
                 boundaries[p.name] = chain
     points = [(p.name, p.degree, p.value) for k in c.degrees() for p in c.points(k)]

@@ -25,11 +25,14 @@ def minmax_field(c: FilteredComplex, field: Coefficients) -> Selected:
     """Value and identity of the unique free critical point in the global degree."""
     if not field.is_field:
         raise ValueError("minmax_field needs Q or a prime field")
+    return _minmax_field_at(c, field, global_index(c))
+
+
+def _minmax_field_at(c: FilteredComplex, field: Coefficients, lam: int) -> Selected:
     key = ("minmax_field", field.token())
     cached = c._cache.get(key)
     if cached is not None:
         return cached
-    lam = global_index(c)
     frees = _reduce(c, field).free_of_degree(lam)
     if len(frees) != 1:
         raise InternalInconsistencyError(
@@ -40,11 +43,21 @@ def minmax_field(c: FilteredComplex, field: Coefficients) -> Selected:
     return result
 
 
+def _negated_index(c: FilteredComplex) -> int:
+    """Global index of ``negate(c)``, read off c's own homology.
+
+    The boundary matrices of the negated complex are the anti-transposes of
+    c's, with the same ranks and invariant factors, so it is admissible
+    exactly when c is, with global index ``ambient - global_index(c)``.
+    """
+    return c.ambient_dim - global_index(c)
+
+
 def maxmin_field(c: FilteredComplex, field: Coefficients) -> Selected:
     """Field maxmin through the negated complex; must equal the minmax."""
-    value, point = minmax_field(negate(c), field)
-    result = (-value, c.point(point.name))
     direct = minmax_field(c, field)
+    value, point = _minmax_field_at(negate(c), field, _negated_index(c))
+    result = (-value, c.point(point.name))
     if result != direct:
         raise InternalInconsistencyError(
             f"field maxmin {result[1].name} differs from minmax {direct[1].name}")
@@ -102,10 +115,13 @@ def minmax_int(c: FilteredComplex) -> Selected:
     The cycles of the first s points are spanned by the basis vectors with
     low below s, so the first t where gcd(w[0..t]) is 1 gives the witness.
     """
+    return _minmax_int_at(c, global_index(c))
+
+
+def _minmax_int_at(c: FilteredComplex, lam: int) -> Selected:
     cached = c._cache.get("minmax_int")
     if cached is not None:
         return cached
-    lam = global_index(c)
     lows, w = _int_scan_data(c, lam)
     g = 0
     for low, wt in zip(lows, w):
@@ -120,7 +136,7 @@ def minmax_int(c: FilteredComplex) -> Selected:
 
 def maxmin_int(c: FilteredComplex) -> Selected:
     """Integer maxmin through the negated complex."""
-    value, point = minmax_int(negate(c))
+    value, point = _minmax_int_at(negate(c), _negated_index(c))
     return -value, c.point(point.name)
 
 

@@ -51,3 +51,20 @@ def rank_fraction(A):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def inverse_conjugate(Plow, D, P):
+    """Plow^{-1} D P, inverting Plow by fraction Gauss-Jordan elimination."""
+    n = len(Plow)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(Plow)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    inverse = [row[n:] for row in aug]
+    return mat_mul(mat_mul(inverse, D), P)

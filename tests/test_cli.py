@@ -201,3 +201,15 @@ def test_usage_error_exit_code(capsys):
     assert main(["unknown-command"]) == 3
     assert main([]) == 3
     assert main(["reduce", LAUDENBACH]) == 3  # missing --coeff
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.cplx"
+    bad.write_bytes(b"ambient 2\npoint a 0 \xff\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (1, "")
+    assert "not UTF-8" in err and "line 2, column 11" in err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
+    code, _, err = run(capsys, "validate", "-")
+    assert code == 1
+    assert "not UTF-8" in err

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from morseminmax.errors import (
 )
 from morseminmax.gen import paper_fixture, random_complex, single_point
 
-from helpers import mat_mul, rank_fraction
+from helpers import inverse_conjugate, mat_mul, rank_fraction
 
 
 @pytest.fixture
@@ -84,6 +85,81 @@ def test_parse_syntax_errors_carry_location():
         parse_complex("point a 1 0\n")
     with pytest.raises(ParseError, match="zero coefficient"):
         parse_complex("ambient 2\npoint a 0 0\npoint b 1 1\nboundary b : 0*a\n")
+
+
+@pytest.mark.parametrize("text", [
+    "ambient \u00b2\n",
+    "ambient \u0663\n",
+    "ambient 2\npoint a \u0663 0\n",
+    "ambient 2\npoint a 0 \u0663\n",
+    "ambient 2\npoint a 0 0\npoint b 1 1\nboundary b : \u0663*a\n",
+], ids=["superscript-ambient", "arabic-ambient", "degree", "value", "coefficient"])
+def test_parse_rejects_non_ascii_digits(text):
+    with pytest.raises(ParseError):
+        parse_complex(text)
+
+
+def test_parse_rejects_non_utf8_bytes_with_location():
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        parse_complex(b"ambient 2\npoint a\xff 1 0\n")
+    assert (exc.value.line, exc.value.column) == (2, 8)
+    with pytest.raises(ParseError, match="not UTF-8") as exc:
+        parse_complex(b"ambient 2\r\npoint a 1 0\r\n\xc3")
+    assert (exc.value.line, exc.value.column) == (3, 1)
+
+
+@pytest.mark.parametrize("text", [
+    "ambient " + "9" * 5000,
+    "ambient 2\npoint a 0 " + "9" * 5000,
+    "ambient 2\npoint a 0 1/" + "9" * 5000,
+    "ambient 2\npoint a " + "9" * 5000 + " 0",
+    "ambient 2\npoint a 0 0\npoint b 1 1\nboundary b : " + "9" * 5000 + "*a",
+], ids=["ambient", "value", "denominator", "degree", "coefficient"])
+def test_parse_rejects_overlong_numbers(text):
+    # more digits than int() converts is a ParseError, not a ValueError
+    with pytest.raises(ParseError, match="too long"):
+        parse_complex(text)
+
+
+def test_huge_ambient_dimension_is_cheap():
+    # only degrees that carry points are visited
+    c = parse_complex("ambient 1000000000000\npoint a 0 0\n")
+    assert global_index(c) == 0
+
+
+# a strategy listed twice in st.one_of is drawn twice as often
+_NUMBERS = st.one_of(st.integers(-2, 3).map(str), st.integers(-2, 3).map(str),
+                     st.sampled_from(["1/2", "1/0", "-0", "x", "\u00b2", "\u0663"]))
+_NAMES = st.sampled_from(["a", "b", "c", "d", "x_1", "\u00e9", ""])
+_LINES = st.one_of(
+    st.builds("point {} {} {}".format, _NAMES, _NUMBERS, _NUMBERS),
+    st.builds("point {} {} {}".format, _NAMES, _NUMBERS, _NUMBERS),
+    st.builds(lambda name, terms: f"boundary {name} : " + " ".join(terms), _NAMES,
+              st.lists(st.builds("{}*{}".format, _NUMBERS, _NAMES), min_size=1, max_size=3)),
+    st.builds("ambient {}".format, _NUMBERS),
+    st.text(max_size=12),
+)
+# mostly well-formed files, so that some parse and some of those validate
+_COMPLEX_TEXTS = st.builds(
+    lambda ambient, lines: "\n".join([f"ambient {ambient}"] + lines),
+    st.one_of(st.integers(1, 3).map(str), _NUMBERS), st.lists(_LINES, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.binary(), _COMPLEX_TEXTS, _COMPLEX_TEXTS.map(str.encode)))
+def test_arbitrary_input_raises_only_parse_errors(data):
+    try:
+        c = parse_complex(data, check=False)
+    except ParseError:
+        return
+    text = serialize(c)
+    assert serialize(parse_complex(text, check=False)) == text
+    try:
+        checked = parse_complex(data)
+    except InvalidComplexError:
+        assert not validate(c).ok
+    else:
+        assert checked == c
 
 
 def test_parse_checks_invariants_by_default():
@@ -303,6 +379,45 @@ def test_change_basis_preserves_validity_and_ranks():
     for field in fields:
         for k in range(c.ambient_dim + 1):
             assert homology(moved, field, k) == homology(c, field, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_change_basis_with_negative_diagonals(seed):
+    rng = random.Random(seed)
+    c = random_complex(seed, {1: 3, 2: 5, 3: 3}, 4)
+    transforms = {}
+    for k in c.degrees():
+        m = len(c.points(k))
+        P = [[rng.randint(-3, 3) if i < j else 0 for j in range(m)] for i in range(m)]
+        for i in range(m):
+            P[i][i] = rng.choice((1, -1))
+        i = rng.randrange(m)
+        P[i][i] = -1  # every degree, and so every adjacent pair, has a -1
+        transforms[k] = P
+    moved = change_basis(c, transforms)
+    assert validate(moved).ok
+    for k in c.degrees():
+        if c.points(k - 1):
+            expected = inverse_conjugate(transforms[k - 1], c.matrix(k), transforms[k])
+            assert [list(r) for r in moved.matrix(k)] == expected
+
+
+# -- hashing --------------------------------------------------------------------
+
+def test_hash_agrees_with_equality(laudenbach):
+    lines = serialize(laudenbach).splitlines()
+    points = [line for line in lines if line.startswith("point")]
+    rest = [line for line in lines if not line.startswith("point")]
+    for seed in range(5):
+        random.Random(seed).shuffle(points)
+        shuffled = parse_complex("\n".join(rest[:1] + points + rest[1:]))
+        assert shuffled == laudenbach
+        assert hash(shuffled) == hash(laudenbach)
+        assert len({laudenbach, shuffled}) == 1
+        assert shuffled in {laudenbach}
+    assert negate(laudenbach) not in {laudenbach}
+    assert {laudenbach: 1}[paper_fixture("laudenbach")] == 1
 
 
 # -- property: round trips over random complexes -------------------------------

@@ -102,6 +102,27 @@ def test_not_admissible_propagates():
         minmax_int(c)
     with pytest.raises(NotAdmissibleError):
         minmax_field(c, RATIONALS)
+    with pytest.raises(NotAdmissibleError):
+        maxmin_int(c)
+    with pytest.raises(NotAdmissibleError):
+        maxmin_field(c, RATIONALS)
+    torsion = FilteredComplex.build(
+        2, [("a", 0, 0), ("b", 1, 1), ("t", 2, 2)], {"t": {"b": 2}})
+    with pytest.raises(NotAdmissibleError, match="torsion"):
+        maxmin_int(torsion)
+
+
+def test_maxmin_takes_negated_index_from_the_complex():
+    # the negated complex has the anti-transposed matrices, with the same
+    # ranks and invariant factors: its homology is never recomputed
+    for seed in (4, 21, 58):
+        c = random_admissible_complex(seed, max_points=30)
+        got = (maxmin_int(c), maxmin_field(c, F3), maxmin_field(c, RATIONALS))
+        assert "homology_data" not in negate(c)._cache
+        fresh = random_admissible_complex(seed, max_points=30)
+        n = negate(fresh)
+        via_negated = [minmax_int(n), minmax_field(n, F3), minmax_field(n, RATIONALS)]
+        assert got == tuple((-v, fresh.point(p.name)) for v, p in via_negated)
 
 
 def test_selector_report_laudenbach(laudenbach):
