@@ -239,8 +239,13 @@ def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
     Certified means a value-order triangular basis change with +-1 diagonal
     brings the boundary to normal form; the pairing then agrees with the
     rational one. Obstructed returns the first non-unit surviving pivot as a
-    witness and claims nothing else.
+    witness and claims nothing else. The outcome is memoized like
+    :func:`reduce`.
     """
+    key = ("reduce", INTEGERS.token())
+    cached = c._cache.get(key)
+    if cached is not None:
+        return cached
     per_degree = {}
     for k in c.degrees():
         try:
@@ -248,9 +253,12 @@ def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
                 c.matrix(k), len(c.points(k - 1)), len(c.points(k)), INTEGERS,
                 degree=k)
         except _Obstruction as ob:
-            return Obstructed(column=c.points(k)[ob.column], pivot=ob.pivot)
-    form = _assemble(c, per_degree, INTEGERS)
-    return Certified(form=form)
+            outcome = Obstructed(column=c.points(k)[ob.column], pivot=ob.pivot)
+            break
+    else:
+        outcome = Certified(form=_assemble(c, per_degree, INTEGERS))
+    c._cache[key] = outcome
+    return outcome
 
 
 def betti(c: FilteredComplex, field: Coefficients, k: int) -> int:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 IntMatrix = list[list[int]]
 
@@ -109,22 +108,6 @@ RATIONALS = Coefficients.rationals()
 
 def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]):
-    """Exact product of two row-major matrices (int or Fraction entries).
-
-    The inner dimension must be positive or both operands empty-compatible;
-    callers guard the degenerate zero-dimension cases themselves.
-    """
-    k = len(B)
-    n = len(B[0]) if k else 0
-    out = []
-    for row in A:
-        if len(row) != k:
-            raise ValueError("dimension mismatch in matrix product")
-        out.append([sum(row[t] * B[t][j] for t in range(k)) for j in range(n)])
-    return out
 
 
 def sparse_columns(A: Sequence[Sequence], ncols: int = 0) -> list[list[tuple[int, object]]]:
@@ -440,22 +423,4 @@ def field_kernel_basis(A: Sequence[Sequence[int]], coeff: Coefficients,
             vec[col] = (-v) % p if p else -v
         basis.append(vec)
     return basis
-
-
-def image_index(gens: Iterable[Sequence[int]], w: Sequence[int],
-                bnds: Iterable[Sequence[int]] = ()) -> int:
-    """Nonnegative generator of the subgroup of Z hit by w on the given lattices.
-
-    ``gens`` and ``bnds`` are integer column vectors in the lattice on which
-    the functional ``w`` is defined; the result is gcd of all their w-values
-    (0 for no columns). A result of 1 means the induced map onto a rank-one
-    quotient presented by w is surjective.
-    """
-    m = len(w)
-    d = 0
-    for vec in list(gens) + list(bnds):
-        if len(vec) != m:
-            raise ValueError("dimension mismatch between functional and column")
-        d = gcd(d, sum(a * b for a, b in zip(w, vec)))
-    return abs(d)
 

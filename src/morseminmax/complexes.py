@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .coeff import (
-    RATIONALS,
-    invariant_factors,
-    rank_over,
-    sparse_columns,
-    sparse_product_columns,
-)
+from .coeff import RATIONALS, invariant_factors, sparse_columns, sparse_product_columns
 from .errors import (
     EndpointCriticalError,
     InternalInconsistencyError,
@@ -348,26 +342,28 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
 # validation and admissibility
 
 def _homology_data(c: FilteredComplex):
-    """Per-degree rational ranks and integer torsion divisors, memoized."""
+    """Per-degree rational ranks and integer torsion divisors, memoized.
+
+    A unit-pivot integer certificate brings every boundary matrix to a 0/1
+    matching by a +-1-diagonal triangular basis change, so every Smith form
+    is all ones: there is no torsion and the rank in degree k is the number
+    of free degree-k points. Only an obstructed complex takes the ranks from
+    the rational reduction and the torsion from Smith forms.
+    """
     cached = c._cache.get("homology_data")
     if cached is not None:
         return cached
-    # degrees without points have rank 0 and no torsion, so only the occupied
-    # ones are visited (a huge ambient dimension costs nothing)
-    occupied = [k for k in c.degrees() if 0 <= k <= c.ambient_dim + 1]
-    mat_rank = {k: rank_over([list(r) for r in c.matrix(k)], RATIONALS)
-                for k in occupied if c.matrix(k)}
-    ranks = {}
-    torsion = {}
-    for k in occupied:
-        if k > c.ambient_dim:
-            continue
-        ranks[k] = len(c.points(k)) - mat_rank.get(k, 0) - mat_rank.get(k + 1, 0)
-        up = c.matrix(k + 1)
-        if up and c.points(k + 1):
-            torsion[k] = tuple(d for d in invariant_factors([list(r) for r in up]) if d > 1)
-        else:
-            torsion[k] = ()
+    # barannikov imports this module, so the reductions are imported here
+    from .barannikov import Certified, reduce, reduce_integer
+    outcome = reduce_integer(c)
+    certified = isinstance(outcome, Certified)
+    form = outcome.form if certified else reduce(c, RATIONALS)
+    ranks = {k: len(form.free_of_degree(k)) for k in c.degrees()}
+    torsion = {k: () for k in c.degrees()}
+    for k in c.degrees():
+        if not certified and c.points(k + 1):
+            up = [list(r) for r in c.matrix(k + 1)]
+            torsion[k] = tuple(d for d in invariant_factors(up) if d > 1)
     data = (ranks, torsion)
     c._cache["homology_data"] = data
     return data
@@ -396,8 +392,11 @@ def _admissibility(c: FilteredComplex):
     return result
 
 
-def validate(c: FilteredComplex) -> ValidationReport:
-    """Report every violated complex invariant plus selector admissibility."""
+def _violations(c: FilteredComplex) -> tuple[Violation, ...]:
+    """Structural findings (degree, distinct values, ascent, d∘d), memoized."""
+    cached = c._cache.get("violations")
+    if cached is not None:
+        return cached
     violations: list[Violation] = []
     for p in c.all_points():
         if p.degree < 0 or p.degree > c.ambient_dim:
@@ -424,6 +423,14 @@ def validate(c: FilteredComplex) -> ValidationReport:
             if any(any(col) for col in prod):
                 violations.append(Violation(
                     "dd_nonzero", f"boundary squared is nonzero from degree {k + 1}"))
+    result = tuple(violations)
+    c._cache["violations"] = result
+    return result
+
+
+def validate(c: FilteredComplex) -> ValidationReport:
+    """Report every violated complex invariant plus selector admissibility."""
+    violations = _violations(c)
     ok = not violations
     if ok:
         lam, findings = _admissibility(c)
@@ -431,17 +438,19 @@ def validate(c: FilteredComplex) -> ValidationReport:
     else:
         findings = (Violation("not_evaluated", "admissibility skipped: complex invalid"),)
         admissible = False
-    return ValidationReport(ok=ok, violations=tuple(violations),
-                            admissible=admissible,
-                            admissibility_findings=tuple(findings))
+    return ValidationReport(ok=ok, violations=violations, admissible=admissible,
+                            admissibility_findings=findings)
 
 
 def global_index(c: FilteredComplex) -> int:
     """The unique degree carrying a rank-one, torsion-free total homology.
 
-    Raises NotAdmissibleError when rational homology is not rank-one
-    concentrated or integral homology has torsion.
+    Raises InvalidComplexError when a complex invariant fails, and
+    NotAdmissibleError when rational homology is not rank-one concentrated
+    or integral homology has torsion.
     """
+    if _violations(c):
+        raise InvalidComplexError(validate(c))
     lam, findings = _admissibility(c)
     if lam is None:
         detail = "; ".join(f"{f.code}: {f.detail}" for f in findings)

@@ -18,8 +18,8 @@ from .coeff import (
     invariant_factors,
     rank_over,
 )
-from .complexes import CriticalPoint, FilteredComplex, global_index
-from .errors import InternalInconsistencyError
+from .complexes import CriticalPoint, FilteredComplex
+from .errors import InternalInconsistencyError, NotAdmissibleError
 
 
 @dataclass(frozen=True)
@@ -110,31 +110,6 @@ def _rank_cols(cols, nrows, field):
     return rank_over(rows, field)
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """The full table of induced-map ranks plus per-degree homology data."""
-
-    field: Coefficients
-    ranks: dict[tuple[int, int, int], int]  # (degree, s, t) -> rank of H(s) -> H(t)
-    homology_rank: dict[int, int]
-    torsion: dict[int, tuple[int, ...]]
-
-
-def rank_profile(c: FilteredComplex, field: Coefficients) -> RankProfile:
-    """Materialize every prefix-to-prefix induced rank over the field."""
-    pre = _PrefixRanks(c, field)
-    n = len(pre.levels)
-    table = {}
-    for k in c.degrees():
-        for s in range(n + 1):
-            for t in range(s, n + 1):
-                table[(k, s, t)] = pre.rank_map(k, s, t)
-    hom = {k: homology(c, field, k).rank for k in range(c.ambient_dim + 1)}
-    tor = {k: homology(c, Coefficients.integers(), k).torsion
-           for k in range(c.ambient_dim + 1)}
-    return RankProfile(field=field, ranks=table, homology_rank=hom, torsion=tor)
-
-
 def pairs_by_rank(c: FilteredComplex, field: Coefficients,
                   ) -> set[tuple[CriticalPoint, CriticalPoint]]:
     """The canonical pairing recovered purely from prefix rank arithmetic.
@@ -163,17 +138,34 @@ def pairs_by_rank(c: FilteredComplex, field: Coefficients,
     return pairs
 
 
-def free_by_rank(c: FilteredComplex, field: Coefficients) -> set[CriticalPoint]:
-    """Points whose class never dies: complement of the rank-derived pairing."""
-    paired = {p.name for pair in pairs_by_rank(c, field) for p in pair}
-    return {p for p in c.all_points() if p.name not in paired}
+def _global_index(c: FilteredComplex) -> int:
+    """The degree of the rank-one, torsion-free total homology, memoized.
+
+    ``complexes.global_index`` reads homology off the column reductions, so
+    the oracle computes its own from one Smith form per boundary matrix: the
+    nonzero invariant factors count its rank, and any factor above 1 is
+    torsion.
+    """
+    lam = c._cache.get("oracle_global_index")
+    if lam is not None:
+        return lam
+    factors = {k: invariant_factors([list(r) for r in c.matrix(k)], ncols=len(c.points(k)))
+               for k in c.degrees()}
+    betti = {k: len(c.points(k)) - len(factors[k]) - len(factors.get(k + 1, ()))
+             for k in c.degrees()}
+    ones = [k for k, b in betti.items() if b == 1]
+    torsion = any(d > 1 for f in factors.values() for d in f)
+    if len(ones) != 1 or any(b not in (0, 1) for b in betti.values()) or torsion:
+        raise NotAdmissibleError(f"oracle homology ranks {betti}, torsion {torsion}")
+    lam = c._cache["oracle_global_index"] = ones[0]
+    return lam
 
 
 def minmax_scan_field(c: FilteredComplex, field: Coefficients,
                       ) -> tuple[Fraction, CriticalPoint]:
     """Smallest critical value whose prefix cycles already generate the
     degree-lambda homology of the whole complex, by direct rank computation."""
-    lam = global_index(c)
+    lam = _global_index(c)
     pre = _PrefixRanks(c, field)
     n = len(pre.levels)
     for s, point in enumerate(pre.levels, start=1):

@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -216,20 +217,24 @@ def test_verify_normal_form_catches_corrupt_normal(coeff):
 
 
 def test_reduce_runs_once_per_complex_and_field(monkeypatch):
-    calls = []
+    calls = Counter()
     real = barannikov._reduce_degree
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(D, nrows, ncols, coeff, **kwargs):
+        calls[coeff.token()] += 1
+        return real(D, nrows, ncols, coeff, **kwargs)
 
     monkeypatch.setattr(barannikov, "_reduce_degree", counting)
     c = random_admissible_complex(5, max_points=20)
+    n = len(c.degrees())
+    # the global index reads homology off the integer reduction
     minmax_field(c, F3)
     for k in range(c.ambient_dim + 1):
         betti(c, F3, k)
-    assert len(calls) == len(c.degrees())
+    assert calls == {"z": n, "f3": n}
     assert reduce(c, F3) is reduce(c, F3)
+    assert reduce_integer(c) is reduce_integer(c)
     assert reduce(c, F3) == reduce(parse_complex(serialize(c)), F3)
     assert reduce(c, F5).coeff == F5
-    assert len(calls) == 3 * len(c.degrees())
+    # the parsed copy is a second complex, validated on parsing
+    assert calls == {"z": 2 * n, "f3": 2 * n, "f5": n}

@@ -7,7 +7,6 @@ from morseminmax.coeff import (
     Coefficients,
     INTEGERS,
     RATIONALS,
-    image_index,
     integer_kernel_basis,
     invariant_factors,
     is_prime,
@@ -172,37 +171,6 @@ def test_integer_kernel_basis_is_echelon(A):
         # saturated: the prefix vectors span every integer cycle of the
         # first s columns, not a finite-index sublattice of them
         assert set(invariant_factors(prefix, ncols=n)) <= {1}
-
-
-def test_image_index_examples():
-    assert image_index([(1, 0)], (2, 1)) == 2
-    assert image_index([(0, 1)], (2, 1)) == 1
-    assert image_index([], (5, 7)) == 0
-    assert image_index([(1, 0)], (2, 1), [(0, 1)]) == 1
-
-
-def test_image_index_dimension_mismatch():
-    with pytest.raises(ValueError):
-        image_index([(1, 0, 0)], (2, 1))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=0, max_size=4),
-    st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-    st.randoms(use_true_random=False),
-)
-def test_image_index_unimodular_invariance(cols, w, rng):
-    base = image_index(cols, w)
-    mixed = [list(c) for c in cols]
-    for _ in range(6):
-        if len(mixed) < 2:
-            break
-        i, j = rng.sample(range(len(mixed)), 2)
-        q = rng.randint(-3, 3)
-        mixed[i] = [a + q * b for a, b in zip(mixed[i], mixed[j])]
-    rng.shuffle(mixed)
-    assert image_index(mixed, w) == base
 
 
 def test_coefficients_tokens():

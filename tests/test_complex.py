@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morseminmax import coeff
+from morseminmax import coeff, complexes
+from morseminmax.barannikov import Certified, reduce_integer
+from morseminmax.coeff import INTEGERS, RATIONALS, integer_kernel_basis
 from morseminmax.complexes import (
     FilteredComplex,
+    _homology_data,
     change_basis,
     global_index,
     negate,
@@ -23,7 +27,14 @@ from morseminmax.errors import (
     NotAdmissibleError,
     ParseError,
 )
-from morseminmax.gen import paper_fixture, random_complex, single_point
+from morseminmax.gen import (
+    paper_fixture,
+    random_admissible_complex,
+    random_complex,
+    single_point,
+)
+from morseminmax.oracle import HomologySummary, homology
+from morseminmax.selector import maxmin_field, minmax_int
 
 from helpers import inverse_conjugate, mat_mul, rank_fraction
 
@@ -214,8 +225,8 @@ def test_validate_dd_matches_dense_product(c):
     expected = []
     for k in c.degrees():
         if c.points(k - 1) and c.points(k + 1):
-            prod = coeff.mat_mul([list(r) for r in c.matrix(k)],
-                                 [list(r) for r in c.matrix(k + 1)])
+            prod = mat_mul([list(r) for r in c.matrix(k)],
+                           [list(r) for r in c.matrix(k + 1)])
             if any(any(row) for row in prod):
                 expected.append(f"boundary squared is nonzero from degree {k + 1}")
     got = [v.detail for v in validate(c).violations if v.code == "dd_nonzero"]
@@ -259,6 +270,111 @@ def test_global_index_rejects_torsion():
     )
     with pytest.raises(NotAdmissibleError, match="torsion"):
         global_index(c)
+
+
+# Each builds with FilteredComplex.build but breaks one complex invariant;
+# with no check a rank-based global index would read 1 or 2 off the first
+# three, and the d∘d one has "H1=-1".
+STRUCTURALLY_INVALID = {
+    "bad_degree": (2, [("x", 1, 0), ("y", 5, 1)], {}),
+    "duplicate_value": (2, [("x", 2, 1), ("a", 0, 0), ("b", 1, 1)], {"b": {"a": 1}}),
+    "ascent_violation": (2, [("x", 2, 5), ("a", 0, 3), ("b", 1, 1)], {"b": {"a": 1}}),
+    "dd_nonzero": (3, [("a", 0, 0), ("b", 1, 1), ("t", 2, 2)],
+                   {"b": {"a": 1}, "t": {"b": 1}}),
+}
+
+
+@pytest.mark.parametrize("code", sorted(STRUCTURALLY_INVALID))
+@pytest.mark.parametrize("route", [
+    global_index, minmax_int, lambda c: maxmin_field(c, RATIONALS)],
+    ids=["global_index", "minmax_int", "maxmin_field"])
+def test_global_index_refuses_invalid_complexes(code, route):
+    c = FilteredComplex.build(*STRUCTURALLY_INVALID[code])
+    with pytest.raises(InvalidComplexError) as exc:
+        route(c)
+    assert [v.code for v in exc.value.report.violations] == [code]
+
+
+def test_structural_findings_are_computed_once(monkeypatch, laudenbach):
+    calls = Counter()
+    real = complexes.sparse_columns
+
+    def counting(*args, **kwargs):
+        calls["sparse_columns"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "sparse_columns", counting)
+    assert validate(laudenbach).admissible
+    seen = calls["sparse_columns"]
+    assert seen
+    assert global_index(laudenbach) == 2
+    assert validate(laudenbach).ok
+    assert calls["sparse_columns"] == seen
+
+
+def _chain_complex(seed):
+    """Small valid complex with arbitrary integer boundaries: torsion, rank
+    defects and non-unit pivots are all common. Degree-1 boundaries are
+    random; degree-2 boundaries are random integer cycles. Values ascend
+    with degree, so every boundary descends in value."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 3), rng.randint(1, 4), rng.randint(0, 3)]
+    points = [(f"p{k}_{i}", k, 10 * k + i) for k, n in enumerate(sizes) for i in range(n)]
+    names = [[p for p, k, _ in points if k == d] for d in range(3)]
+    D1 = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in names[1]] for _ in names[0]]
+    cycles = integer_kernel_basis(D1)
+    boundaries = {b: {a: D1[i][j] for i, a in enumerate(names[0])}
+                  for j, b in enumerate(names[1])}
+    for t in names[2]:
+        col = [0] * len(names[1])
+        for z in cycles:
+            q = rng.choice((0, 1, -1, 2, 3))
+            col = [a + q * b for a, b in zip(col, z)]
+        boundaries[t] = dict(zip(names[1], col))
+    return FilteredComplex.build(rng.randint(2, 3), points, boundaries)
+
+
+def test_homology_data_matches_oracle():
+    seen = Counter()
+    cases = [paper_fixture("laudenbach"), paper_fixture("f0")]
+    cases += [random_admissible_complex(seed, max_points=20) for seed in range(30)]
+    cases += [_chain_complex(seed) for seed in range(300)]
+    for c in cases:
+        assert validate(c).ok
+        ranks, torsion = _homology_data(c)
+        for k in range(c.ambient_dim + 1):
+            expected = HomologySummary(ranks.get(k, 0), torsion.get(k, ()))
+            assert homology(c, INTEGERS, k) == expected
+            assert homology(c, RATIONALS, k).rank == expected.rank
+        seen["certified" if isinstance(reduce_integer(c), Certified) else "obstructed"] += 1
+        seen["torsion"] += any(torsion.values())
+        seen["rank_defect"] += sorted(r for r in ranks.values() if r) != [1]
+    assert min(seen[key] for key in ("certified", "obstructed", "torsion", "rank_defect")) >= 10
+
+
+def test_validate_needs_no_smith_form_or_echelon_when_certified(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(coeff, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(coeff, name, wrapped)
+
+    counting("_snf_inplace")
+    counting("_echelon")
+    certified = [paper_fixture("f0")]
+    certified += [random_admissible_complex(seed, max_points=30) for seed in range(20)]
+    for c in certified:
+        assert validate(c).admissible
+        assert isinstance(reduce_integer(c), Certified)
+    assert calls == {}
+    lau = paper_fixture("laudenbach")
+    assert validate(lau).admissible
+    assert not isinstance(reduce_integer(lau), Certified)
+    assert calls["_snf_inplace"] and not calls["_echelon"]
 
 
 # -- negate -------------------------------------------------------------------

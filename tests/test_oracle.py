@@ -6,13 +6,7 @@ from morseminmax.barannikov import betti, reduce
 from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS
 from morseminmax.complexes import FilteredComplex, restrict
 from morseminmax.gen import paper_fixture, random_admissible_complex, single_point
-from morseminmax.oracle import (
-    free_by_rank,
-    homology,
-    minmax_scan_field,
-    pairs_by_rank,
-    rank_profile,
-)
+from morseminmax.oracle import _PrefixRanks, homology, minmax_scan_field, pairs_by_rank
 from morseminmax.selector import minmax_field
 
 F2 = Coefficients.prime_field(2)
@@ -65,9 +59,10 @@ def test_pairs_by_rank_matches_reduce():
         c = random_admissible_complex(seed, max_points=14)
         for field in fields:
             form = reduce(c, field)
-            assert {(u.name, l.name) for u, l in pairs_by_rank(c, field)} == \
-                form.pair_names()
-            assert {p.name for p in free_by_rank(c, field)} == form.free_names()
+            pairs = pairs_by_rank(c, field)
+            assert {(u.name, l.name) for u, l in pairs} == form.pair_names()
+            paired = {p.name for pair in pairs for p in pair}
+            assert {p.name for p in c.all_points()} - paired == form.free_names()
 
 
 def test_minmax_scan_laudenbach(laudenbach):
@@ -99,15 +94,14 @@ def test_betti_matches_homology(laudenbach):
 
 def test_rank_profile_monotone():
     c = random_admissible_complex(5, max_points=10)
-    prof = rank_profile(c, RATIONALS)
+    pre = _PrefixRanks(c, RATIONALS)
     n = c.n_points
     for k in c.degrees():
         for s in range(n + 1):
             for t in range(s, n + 1):
-                r = prof.ranks[(k, s, t)]
+                r = pre.rank_map(k, s, t)
                 # composition through a middle level never gains rank
                 if t + 1 <= n:
-                    assert prof.ranks[(k, s, t + 1)] <= r or s == 0
+                    assert pre.rank_map(k, s, t + 1) <= r or s == 0
                 if s >= 1:
-                    assert prof.ranks[(k, s - 1, t)] <= r or s - 1 == 0
-    assert prof.homology_rank[0] >= 0
+                    assert pre.rank_map(k, s - 1, t) <= r or s - 1 == 0

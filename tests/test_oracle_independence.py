@@ -5,11 +5,20 @@ fast-path helpers they share."""
 import ast
 from pathlib import Path
 
+from morseminmax import barannikov, complexes
+from morseminmax.barannikov import betti, reduce
+from morseminmax.coeff import Coefficients, RATIONALS
+from morseminmax.complexes import parse_complex, serialize
+from morseminmax.gen import FIXTURE_NAMES, paper_fixture, random_admissible_complex
+from morseminmax.oracle import homology, minmax_scan_field, pairs_by_rank
+from morseminmax.selector import minmax_field
+
 ORACLE = Path(__file__).resolve().parent.parent / "src" / "morseminmax" / "oracle.py"
 
 FORBIDDEN = {
     "barannikov",
     "selector",
+    "global_index",
     "_reduce_degree",
     "integer_kernel_basis",
     "sparse_columns",
@@ -40,3 +49,28 @@ def test_imported_names_sees_every_import_form():
 
 def test_oracle_imports_no_fast_path():
     assert imported_names(ORACLE.read_text()) & FORBIDDEN == set()
+
+
+def test_oracle_runs_with_the_fast_path_disabled(monkeypatch):
+    fields = (Coefficients.prime_field(2), RATIONALS)
+    cases = [paper_fixture(name) for name in FIXTURE_NAMES]
+    cases += [random_admissible_complex(seed, max_points=16) for seed in range(6)]
+    expected = [(reduce(c, field).pair_names(),
+                 [betti(c, field, k) for k in range(c.ambient_dim + 1)],
+                 minmax_field(c, field))
+                for c in cases for field in fields]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the oracle reached the fast path")
+
+    monkeypatch.setattr(barannikov, "_reduce_degree", refuse)
+    monkeypatch.setattr(complexes, "_homology_data", refuse)
+    got = []
+    for c in cases:
+        fresh = parse_complex(serialize(c), check=False)  # nothing memoized
+        for field in fields:
+            got.append(({(u.name, l.name) for u, l in pairs_by_rank(fresh, field)},
+                        [homology(fresh, field, k).rank
+                         for k in range(fresh.ambient_dim + 1)],
+                        minmax_scan_field(fresh, field)))
+    assert got == expected
