@@ -56,19 +56,24 @@ def _inverse(pivot, p):
     return pivot if pivot in (1, -1) else 1 / Fraction(pivot)
 
 
-def _reduce_degree(D, nrows, ncols, coeff: Coefficients, *, degree=None):
-    """Greedy left-to-right column reduction of one boundary matrix.
+def _reduce_degree(c: FilteredComplex, k: int, coeff: Coefficients):
+    """Greedy left-to-right column reduction of the degree-k boundary D of c.
 
     Returns (pairs, Ccols, Rcols): ``pairs`` maps column index to its pivot
     row, ``Ccols`` are the accumulated column operations (column-major,
     value-order triangular) and ``Rcols = D @ C`` are the reduced columns
-    with pairwise distinct pivots. A column is scaled to pivot 1 when it
-    takes its pivot, so every later cancellation is ``col -= col[low] *
-    other`` with no division. Over Z a surviving pivot other than +-1 raises
+    with pairwise distinct pivots, both dense and filled from the sparse
+    columns of D. A column is scaled to pivot 1 when it takes its pivot, so
+    every later cancellation is ``col -= col[low] * other`` with no
+    division. Over Z a surviving pivot other than +-1 raises
     ``_Obstruction`` before any scaling.
     """
     p = coeff.p
-    Rcols = [[D[i][j] % p if p else D[i][j] for i in range(nrows)] for j in range(ncols)]
+    nrows, ncols = len(c.points(k - 1)), len(c.points(k))
+    Rcols = [[0] * nrows for _ in range(ncols)]
+    for col, terms in zip(Rcols, c.columns(k)):
+        for i, v in terms:
+            col[i] = v % p if p else v
     Ccols = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     owner: dict[int, int] = {}
     pairs: dict[int, int] = {}
@@ -76,24 +81,24 @@ def _reduce_degree(D, nrows, ncols, coeff: Coefficients, *, degree=None):
         col, cj = Rcols[j], Ccols[j]
         low = _low(col, nrows - 1)
         while low is not None and low in owner:
-            k = owner[low]
+            t = owner[low]
             q = col[low]
-            other, ck = Rcols[k], Ccols[k]
+            other, ct = Rcols[t], Ccols[t]
             if p is None:
                 for i in range(low + 1):
                     col[i] -= q * other[i]
-                for i in range(k + 1):
-                    cj[i] -= q * ck[i]
+                for i in range(t + 1):
+                    cj[i] -= q * ct[i]
             else:
                 for i in range(low + 1):
                     col[i] = (col[i] - q * other[i]) % p
-                for i in range(k + 1):
-                    cj[i] = (cj[i] - q * ck[i]) % p
+                for i in range(t + 1):
+                    cj[i] = (cj[i] - q * ct[i]) % p
             low = _low(col, low - 1)
         if low is None:
             continue
         if coeff.is_integers and col[low] not in (1, -1):
-            raise _Obstruction(degree, j, col[low])
+            raise _Obstruction(k, j, col[low])
         inv = _inverse(col[low], p)
         if inv != 1:
             for v, top in ((col, low), (cj, j)):
@@ -193,11 +198,10 @@ def _verify_normal_form(c: FilteredComplex, form: CanonicalForm) -> None:
     for k in form.normal:
         lower = c.points(k - 1)
         upper = c.points(k)
-        D = sparse_columns(c.matrix(k), len(upper))
         P = sparse_columns(form.basis[k], len(upper))
         Plow = sparse_columns(form.basis.get(k - 1, ()), len(lower))
         B = sparse_columns(form.normal[k], len(upper))
-        lhs_cols = sparse_product_columns(D, P, len(lower))
+        lhs_cols = sparse_product_columns(c.columns(k), P, len(lower))
         rhs_cols = sparse_product_columns(Plow, B, len(lower))
         for j, (lhs, rhs) in enumerate(zip(lhs_cols, rhs_cols)):
             if p is not None:
@@ -225,9 +229,7 @@ def reduce(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
     cached = c._cache.get(key)
     if cached is not None:
         return cached
-    per_degree = {k: _reduce_degree(c.matrix(k), len(c.points(k - 1)),
-                                    len(c.points(k)), field)
-                  for k in c.degrees()}
+    per_degree = {k: _reduce_degree(c, k, field) for k in c.degrees()}
     form = _assemble(c, per_degree, field)
     c._cache[key] = form
     return form
@@ -249,9 +251,7 @@ def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
     per_degree = {}
     for k in c.degrees():
         try:
-            per_degree[k] = _reduce_degree(
-                c.matrix(k), len(c.points(k - 1)), len(c.points(k)), INTEGERS,
-                degree=k)
+            per_degree[k] = _reduce_degree(c, k, INTEGERS)
         except _Obstruction as ob:
             outcome = Obstructed(column=c.points(k)[ob.column], pivot=ob.pivot)
             break

@@ -1,11 +1,14 @@
 """Filtered Morse complexes: data model, file format, structural operations.
 
 A complex is a set of named critical points graded by degree, each carrying an
-exact rational critical value, together with integer boundary matrices. The
-boundary matrix of degree k has one row per degree-(k-1) point and one column
-per degree-k point, both sorted by ascending critical value. Nonzero entries
-must point strictly downward in value, all critical values must be pairwise
-distinct, and consecutive boundary matrices must compose to zero.
+exact rational critical value, together with integer boundary operators. The
+boundary of degree k has one row per degree-(k-1) point and one column per
+degree-k point, both sorted by ascending critical value. It is stored as
+sparse columns, the nonzero ``(row, coeff)`` entries of each column with rows
+ascending; this module is the only one that knows that storage, and the dense
+row-major matrix is a view derived from it on demand. Nonzero entries must
+point strictly downward in value, all critical values must be pairwise
+distinct, and consecutive boundary operators must compose to zero.
 """
 
 from __future__ import annotations
@@ -62,15 +65,26 @@ class FilteredComplex:
     """Immutable-by-convention filtered Morse complex.
 
     Use :meth:`build` to construct one; every operation returns a new complex.
+    The boundary of degree k is stored as :meth:`columns`, one tuple of
+    nonzero ``(row, coeff)`` entries per degree-k point in value order, rows
+    ascending. :meth:`matrix` is a dense view of it, built on first use.
     """
 
-    __slots__ = ("ambient_dim", "_points", "_matrices", "_by_name", "_cache")
+    __slots__ = ("ambient_dim", "_points", "_columns", "_by_name", "_position", "_cache")
 
-    def __init__(self, ambient_dim, points_by_degree, matrices):
+    def __init__(self, ambient_dim, points_by_degree, chains):
+        """``chains`` maps a point name to its nonzero boundary terms
+        ``{target_name: coeff}``, as checked by :meth:`build`."""
         self.ambient_dim = ambient_dim
         self._points = points_by_degree
-        self._matrices = matrices
         self._by_name = {p.name: p for pts in points_by_degree.values() for p in pts}
+        self._position = {p.name: i for pts in points_by_degree.values()
+                          for i, p in enumerate(pts)}
+        self._columns = {
+            k: tuple(tuple(sorted((self._position[t], v)
+                                  for t, v in chains.get(p.name, {}).items()))
+                     for p in pts)
+            for k, pts in points_by_degree.items()}
         self._cache = {}
 
     @classmethod
@@ -108,32 +122,25 @@ class FilteredComplex:
             k: tuple(sorted(v, key=lambda p: (p.value, p.name)))
             for k, v in by_degree.items()
         }
-        index = {}
-        for k, tup in points_by_degree.items():
-            for i, p in enumerate(tup):
-                index[p.name] = (k, i)
-        matrices: dict[int, list[list[int]]] = {}
-        for k, tup in points_by_degree.items():
-            rows = len(points_by_degree.get(k - 1, ()))
-            matrices[k] = [[0] * len(tup) for _ in range(rows)]
         by_name = {p.name: p for p in pts}
+        chains: dict[str, dict[str, int]] = {}
         for src, chain in (boundaries or {}).items():
             if src not in by_name:
                 raise ValueError(f"unknown point name {src!r} in boundary")
-            k, col = index[src]
+            k = by_name[src].degree
+            terms = chains[src] = {}
             for tgt, coeff in chain.items():
                 if tgt not in by_name:
                     raise ValueError(f"unknown point name {tgt!r} in boundary of {src!r}")
                 coeff = int(coeff)
                 if coeff == 0:
                     continue
-                tk, row = index[tgt]
+                tk = by_name[tgt].degree
                 if tk != k - 1:
                     raise ValueError(
                         f"boundary of {src!r} (degree {k}) hits {tgt!r} of degree {tk}")
-                matrices[k][row][col] = coeff
-        frozen = {k: tuple(tuple(r) for r in m) for k, m in matrices.items()}
-        return cls(ambient_dim, points_by_degree, frozen)
+                terms[tgt] = coeff
+        return cls(ambient_dim, points_by_degree, chains)
 
     # -- accessors ----------------------------------------------------------
 
@@ -143,13 +150,23 @@ class FilteredComplex:
     def points(self, degree: int) -> tuple[CriticalPoint, ...]:
         return self._points.get(degree, ())
 
+    def columns(self, degree: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Boundary from degree ``degree`` into ``degree - 1`` as sparse columns:
+        per degree-``degree`` point, its nonzero ``(row, coeff)`` entries, rows
+        ascending. Empty for a degree with no points."""
+        return self._columns.get(degree, ())
+
     def matrix(self, degree: int) -> tuple[tuple[int, ...], ...]:
-        """Boundary matrix from degree ``degree`` into ``degree - 1``."""
-        got = self._matrices.get(degree)
-        if got is not None:
-            return got
-        rows = len(self.points(degree - 1))
-        return tuple(() for _ in range(rows)) if rows else ()
+        """Dense row-major view of :meth:`columns`, one row per degree
+        ``degree - 1`` point; built on first use and memoized."""
+        key = ("matrix", degree)
+        if key not in self._cache:
+            rows = [[0] * len(self.points(degree)) for _ in self.points(degree - 1)]
+            for j, col in enumerate(self.columns(degree)):
+                for i, v in col:
+                    rows[i][j] = v
+            self._cache[key] = tuple(map(tuple, rows))
+        return self._cache[key]
 
     def point(self, name: str) -> CriticalPoint:
         try:
@@ -175,20 +192,18 @@ class FilteredComplex:
     def boundary_chain(self, name: str) -> list[tuple[int, CriticalPoint]]:
         k, col = self._index(name)
         lower = self.points(k - 1)
-        mat = self.matrix(k)
-        return [(mat[row][col], lower[row]) for row in range(len(lower))
-                if mat[row][col] != 0]
+        return [(v, lower[row]) for row, v in self._columns[k][col]]
 
     def _index(self, name: str) -> tuple[int, int]:
-        p = self.point(name)
-        return p.degree, self.points(p.degree).index(p)
+        """Degree of the named point and its position in :meth:`points`."""
+        return self.point(name).degree, self._position[name]
 
     def __eq__(self, other):
         if not isinstance(other, FilteredComplex):
             return NotImplemented
         return (self.ambient_dim == other.ambient_dim
                 and self._points == other._points
-                and self._matrices == other._matrices)
+                and self._columns == other._columns)
 
     def __hash__(self):
         """Hash of the canonical serialization, which equal complexes share."""
@@ -213,12 +228,10 @@ def serialize(c: FilteredComplex) -> str:
             lines.append(f"point {p.name} {p.degree} {p.value}")
     for k in c.degrees():
         lower = c.points(k - 1)
-        mat = c.matrix(k)
-        for col, p in enumerate(c.points(k)):
-            terms = [f"{mat[row][col]}*{lower[row].name}"
-                     for row in range(len(lower)) if mat[row][col] != 0]
-            if terms:
-                lines.append(f"boundary {p.name} : " + " ".join(terms))
+        for p, col in zip(c.points(k), c.columns(k)):
+            if col:
+                lines.append(f"boundary {p.name} : "
+                             + " ".join(f"{v}*{lower[row].name}" for row, v in col))
     return "\n".join(lines) + "\n"
 
 
@@ -407,10 +420,9 @@ def _violations(c: FilteredComplex) -> tuple[Violation, ...]:
         if a.value == b.value:
             violations.append(Violation(
                 "duplicate_value", f"{a.name} and {b.name} share value {a.value}"))
-    cols = {k: sparse_columns(c.matrix(k), len(c.points(k))) for k in c.degrees()}
     for k in c.degrees():
         lower = c.points(k - 1)
-        for p, terms in zip(c.points(k), cols[k]):
+        for p, terms in zip(c.points(k), c.columns(k)):
             for row, _ in terms:
                 if p.value <= lower[row].value:
                     violations.append(Violation(
@@ -418,8 +430,9 @@ def _violations(c: FilteredComplex) -> tuple[Violation, ...]:
                         f"boundary of {p.name} (value {p.value}) hits "
                         f"{lower[row].name} (value {lower[row].value})"))
     for k in c.degrees():
-        if c.points(k - 1) and c.points(k + 1) and k + 1 in c._matrices:
-            prod = sparse_product_columns(cols[k], cols[k + 1], len(c.points(k - 1)))
+        if c.points(k - 1) and c.points(k + 1):
+            prod = sparse_product_columns(c.columns(k), c.columns(k + 1),
+                                          len(c.points(k - 1)))
             if any(any(col) for col in prod):
                 violations.append(Violation(
                     "dd_nonzero", f"boundary squared is nonzero from degree {k + 1}"))
@@ -477,16 +490,10 @@ def negate(c: FilteredComplex) -> FilteredComplex:
     boundaries: dict[str, dict[str, int]] = {}
     for k in c.degrees():
         lower = c.points(k - 1)
-        upper = c.points(k)
-        if not lower:
-            continue
-        mat = c.matrix(k)
-        # old pair (row m, col l) becomes: boundary of (old lower m) hits (old upper l)
-        for m, low_pt in enumerate(lower):
-            chain = {upper[l].name: mat[m][l]
-                     for l in range(len(upper)) if mat[m][l] != 0}
-            if chain:
-                boundaries[low_pt.name] = chain
+        # old entry (row m, column of p) becomes: boundary of (old lower m) hits p
+        for p, col in zip(c.points(k), c.columns(k)):
+            for m, v in col:
+                boundaries.setdefault(lower[m].name, {})[p.name] = v
     result = FilteredComplex.build(n, points, boundaries)
     c._cache["negate"] = result
     return result
@@ -563,8 +570,8 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
             continue
         Plow = P_of(k - 1)
         Plow_cols = sparse_columns(Plow, len(lower))
-        right = sparse_product_columns(sparse_columns(c.matrix(k), len(upper)),
-                                       sparse_columns(P_of(k), len(upper)), len(lower))
+        right = sparse_product_columns(c.columns(k), sparse_columns(P_of(k), len(upper)),
+                                       len(lower))
         for col, (p, rest) in enumerate(zip(upper, right)):
             chain = {}
             for row in range(len(lower) - 1, -1, -1):

@@ -28,18 +28,24 @@ class HomologySummary:
     torsion: tuple[int, ...] = ()
 
 
+def _rank(c: FilteredComplex, field: Coefficients, k: int) -> int:
+    """Rank of the degree-k boundary matrix over ``field``, memoized per complex."""
+    key = ("oracle_rank", field.token(), k)
+    got = c._cache.get(key)
+    if got is None:
+        empty = not (c.points(k - 1) and c.points(k))
+        got = c._cache[key] = 0 if empty else rank_over([list(r) for r in c.matrix(k)], field)
+    return got
+
+
 def homology(c: FilteredComplex, coeff: Coefficients, k: int) -> HomologySummary:
     """Rank (and over Z, torsion divisors) of homology in degree k."""
     nk = len(c.points(k))
-    down = [list(r) for r in c.matrix(k)] if c.points(k - 1) and nk else []
-    up_pts = c.points(k + 1)
-    up = [list(r) for r in c.matrix(k + 1)] if up_pts and nk else []
     field = RATIONALS if coeff.is_integers else coeff
-    rank_down = rank_over(down, field) if down else 0
-    rank_up = rank_over(up, field) if up else 0
-    rank = nk - rank_down - rank_up
+    rank = nk - _rank(c, field, k) - _rank(c, field, k + 1)
     torsion: tuple[int, ...] = ()
-    if coeff.is_integers and up:
+    if coeff.is_integers and c.points(k + 1) and nk:
+        up = [list(r) for r in c.matrix(k + 1)]
         torsion = tuple(d for d in invariant_factors(up) if d > 1)
     return HomologySummary(rank=rank, torsion=torsion)
 

@@ -83,10 +83,11 @@ def _int_scan_data(c: FilteredComplex, lam: int):
     lows = [max(i for i, v in enumerate(h) if v) for h in H]
     z = len(H)
     up_pts = c.points(lam + 1)
-    up = c.matrix(lam + 1)
     Y = [[0] * len(up_pts) for _ in range(z)]
-    for j, p in enumerate(up_pts):
-        rest = [up[i][j] for i in range(n_lam)]
+    for j, (p, terms) in enumerate(zip(up_pts, c.columns(lam + 1))):
+        rest = [0] * n_lam
+        for i, v in terms:
+            rest[i] = v
         for t in range(z - 1, -1, -1):
             q, rem = divmod(rest[lows[t]], H[t][lows[t]])
             if rem:
@@ -204,14 +205,10 @@ def selector_report(c: FilteredComplex, coeffs) -> SelectorReport:
 
 
 def _incident(c: FilteredComplex, p: CriticalPoint) -> list[CriticalPoint]:
-    """Points one degree away linked to p by a nonzero boundary coefficient."""
-    out = [q for _, q in c.boundary_chain(p.name)]
-    k, col = p.degree, c.points(p.degree).index(p)
-    up = c.points(k + 1)
-    if up:
-        mat = c.matrix(k + 1)
-        out += [up[j] for j in range(len(up)) if mat[col][j] != 0]
-    return out
+    """Points one degree away linked to p by a nonzero boundary coefficient:
+    its boundary, and its coboundary, which is its boundary in the negated
+    complex."""
+    return [c.point(q.name) for cx in (c, negate(c)) for _, q in cx.boundary_chain(p.name)]
 
 
 def capitanio_criterion(c: FilteredComplex, point) -> bool:

@@ -220,9 +220,9 @@ def test_reduce_runs_once_per_complex_and_field(monkeypatch):
     calls = Counter()
     real = barannikov._reduce_degree
 
-    def counting(D, nrows, ncols, coeff, **kwargs):
+    def counting(c, k, coeff):
         calls[coeff.token()] += 1
-        return real(D, nrows, ncols, coeff, **kwargs)
+        return real(c, k, coeff)
 
     monkeypatch.setattr(barannikov, "_reduce_degree", counting)
     c = random_admissible_complex(5, max_points=20)

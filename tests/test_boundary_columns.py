@@ -1,0 +1,76 @@
+"""The boundary is stored as sparse columns inside ``complexes``; the dense
+matrix is a view the reference stack builds on demand. The fast paths must
+not build it, and no other module may read the stored columns directly."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+from morseminmax.barannikov import reduce, reduce_integer
+from morseminmax.coeff import Coefficients, RATIONALS
+from morseminmax.complexes import (
+    change_basis,
+    negate,
+    parse_complex,
+    restrict,
+    serialize,
+    validate,
+)
+from morseminmax.gen import paper_fixture
+from morseminmax.oracle import homology
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "morseminmax"
+sys.path.insert(0, str(ROOT / "bench"))
+
+from slides import slid_complex  # noqa: E402
+
+
+def dense_views(c):
+    return sorted(key for key in c._cache if isinstance(key, tuple) and key[0] == "matrix")
+
+
+def shifted_transform(c, k):
+    """Identity with one extra entry mixing the lowest point into the highest."""
+    n = len(c.points(k))
+    return [[int(i == j or (i, j) == (0, n - 1)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("make", [lambda: paper_fixture("f0"),
+                                  lambda: parse_complex(slid_complex(1, 50).text)],
+                         ids=["f0", "slides201"])
+def test_dense_view_stays_off_the_fast_path(make):
+    c = make()
+    values = sorted(p.value for p in c.all_points())
+    assert validate(c).admissible
+    for field in (Coefficients.prime_field(2), RATIONALS):
+        reduce(c, field)
+    reduce_integer(c)
+    made = [parse_complex(serialize(c)), negate(c),
+            restrict(c, values[0] - 1, values[-2] + (values[-1] - values[-2]) / 2),
+            change_basis(c, {2: shifted_transform(c, 2)})]
+    assert dense_views(c) == []
+    assert all(dense_views(m) == [] for m in made)
+    homology(c, RATIONALS, 2)
+    assert ("matrix", 2) in dense_views(c)
+
+
+def columns_readers(source: str) -> list[int]:
+    """Line numbers of every ``._columns`` attribute access in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "_columns"]
+
+
+def test_only_complexes_reads_the_stored_columns():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "complexes.py" in modules
+    found = [f"{path.name}:{line}" for path in modules if path.name != "complexes.py"
+             for line in columns_readers(path.read_text())]
+    assert found == []
+
+
+def test_columns_readers_sees_an_outside_read():
+    source = (PACKAGE / "barannikov.py").read_text()
+    assert columns_readers(source + "\ndef peek(c, k):\n    return c._columns[k]\n")

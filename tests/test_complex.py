@@ -297,19 +297,19 @@ def test_global_index_refuses_invalid_complexes(code, route):
 
 def test_structural_findings_are_computed_once(monkeypatch, laudenbach):
     calls = Counter()
-    real = complexes.sparse_columns
+    real = complexes.sparse_product_columns
 
     def counting(*args, **kwargs):
-        calls["sparse_columns"] += 1
+        calls["sparse_product_columns"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(complexes, "sparse_columns", counting)
+    monkeypatch.setattr(complexes, "sparse_product_columns", counting)
     assert validate(laudenbach).admissible
-    seen = calls["sparse_columns"]
+    seen = calls["sparse_product_columns"]
     assert seen
     assert global_index(laudenbach) == 2
     assert validate(laudenbach).ok
-    assert calls["sparse_columns"] == seen
+    assert calls["sparse_product_columns"] == seen
 
 
 def _chain_complex(seed):
@@ -545,3 +545,20 @@ def test_random_round_trip_and_involution(seed):
     assert parse_complex(serialize(c)) == c
     assert negate(negate(c)) == c
     assert validate(c).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(boundary_maps(), st.integers(0, 10**6).map(_chain_complex),
+                 st.integers(0, 10**6).map(lambda s: random_complex(s, {1: 2, 2: 3, 3: 2}, 4))))
+def test_columns_are_the_sparse_form_of_the_dense_view(c):
+    for k in range(-1, c.ambient_dim + 2):
+        cols, mat = c.columns(k), c.matrix(k)
+        assert len(cols) == len(c.points(k))
+        assert len(mat) == len(c.points(k - 1))
+        assert all(len(row) == len(c.points(k)) for row in mat)
+        for j, col in enumerate(cols):
+            rows = [i for i, _ in col]
+            assert rows == sorted(set(rows))
+            assert all(v != 0 for _, v in col)
+            assert all(mat[i][j] == dict(col).get(i, 0) for i in range(len(mat)))
+    assert parse_complex(serialize(c), check=False) == c

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from morseminmax import oracle
 from morseminmax.barannikov import betti, reduce
 from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS
 from morseminmax.complexes import FilteredComplex, restrict
@@ -105,3 +106,24 @@ def test_rank_profile_monotone():
                     assert pre.rank_map(k, s, t + 1) <= r or s == 0
                 if s >= 1:
                     assert pre.rank_map(k, s - 1, t) <= r or s - 1 == 0
+
+
+def test_oracle_ranks_each_boundary_matrix_once(monkeypatch):
+    calls = []
+    real = oracle.rank_over
+
+    def counting(A, field):
+        calls.append(len(A))
+        return real(A, field)
+
+    monkeypatch.setattr(oracle, "rank_over", counting)
+    c = random_admissible_complex(5, max_points=40)
+    nonempty = [k for k in c.degrees() if c.points(k - 1)]
+    assert len(nonempty) >= 3
+    for _ in range(2):
+        ranks = [homology(c, F2, k).rank for k in range(c.ambient_dim + 1)]
+    assert sum(ranks) == 1
+    assert len(calls) == len(nonempty)
+    homology(c, RATIONALS, 2)  # ranks D_2 and D_3 over Q
+    homology(c, INTEGERS, 2)  # the same ranks, already known
+    assert len(calls) == len(nonempty) + 2
