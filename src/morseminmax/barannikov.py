@@ -1,6 +1,7 @@
 """Barannikov canonical forms by persistence-style column reduction.
 
-Each degree is reduced independently: columns are processed in ascending
+Each degree is reduced independently on the sparse columns of its boundary
+(``FilteredComplex.columns``): columns are processed in ascending
 critical-value order and a column's deepest nonzero row (its pivot) is
 cancelled against the earlier column owning that row until the pivot is fresh
 or the column dies. A surviving pivot couples the column's point with the
@@ -13,7 +14,8 @@ pivot, so later cancellations need no division, and the reduced column is
 exactly the replacement basis vector of its partner. The basis change that
 realizes the normal form is therefore read off the reduction directly, with
 one entry equal to one per coupled column of the normal form and zeros
-elsewhere.
+elsewhere. The basis change, the normal form and the check that relates them
+all stay sparse columns, so a reduction costs what its nonzero entries cost.
 
 The integer variant runs the same greedy reduction over Z and reports a
 certificate only when every surviving pivot is a unit, which is precisely
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .coeff import INTEGERS, Coefficients, sparse_columns, sparse_product_columns
+from .coeff import INTEGERS, Coefficients, sparse_product_columns, sparse_subtract
 from .complexes import CriticalPoint, FilteredComplex
 from .errors import InternalInconsistencyError
 
@@ -37,14 +39,6 @@ class _Obstruction(Exception):
         self.degree = degree
         self.column = column
         self.pivot = pivot
-
-
-def _low(col, top):
-    """Largest row index ``i <= top`` with ``col[i]`` nonzero, or None."""
-    for i in range(top, -1, -1):
-        if col[i] != 0:
-            return i
-    return None
 
 
 def _inverse(pivot, p):
@@ -59,54 +53,42 @@ def _inverse(pivot, p):
 def _reduce_degree(c: FilteredComplex, k: int, coeff: Coefficients):
     """Greedy left-to-right column reduction of the degree-k boundary D of c.
 
-    Returns (pairs, Ccols, Rcols): ``pairs`` maps column index to its pivot
-    row, ``Ccols`` are the accumulated column operations (column-major,
-    value-order triangular) and ``Rcols = D @ C`` are the reduced columns
-    with pairwise distinct pivots, both dense and filled from the sparse
-    columns of D. A column is scaled to pivot 1 when it takes its pivot, so
-    every later cancellation is ``col -= col[low] * other`` with no
-    division. Over Z a surviving pivot other than +-1 raises
-    ``_Obstruction`` before any scaling.
+    Returns (pairs, C, R): ``pairs`` maps column index to its pivot row,
+    ``C`` are the accumulated column operations (value-order triangular) and
+    ``R = D @ C`` are the reduced columns with pairwise distinct pivots. All
+    columns are sparse ``{row: value}`` dicts: ``R`` starts from the columns
+    of D and ``C[j]`` from ``{j: 1}``. The pivot of a column is its largest
+    row. A column is scaled to pivot 1 when it takes its pivot, so every
+    later cancellation is ``col -= col[low] * other`` with no division. Over
+    Z a surviving pivot other than +-1 raises ``_Obstruction`` before any
+    scaling.
     """
     p = coeff.p
-    nrows, ncols = len(c.points(k - 1)), len(c.points(k))
-    Rcols = [[0] * nrows for _ in range(ncols)]
-    for col, terms in zip(Rcols, c.columns(k)):
-        for i, v in terms:
-            col[i] = v % p if p else v
-    Ccols = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    R = [{i: v % p for i, v in terms if v % p} if p else dict(terms)
+         for terms in c.columns(k)]
+    C = [{j: 1} for j in range(len(R))]
     owner: dict[int, int] = {}
     pairs: dict[int, int] = {}
-    for j in range(ncols):
-        col, cj = Rcols[j], Ccols[j]
-        low = _low(col, nrows - 1)
-        while low is not None and low in owner:
+    for j, (col, cj) in enumerate(zip(R, C)):
+        low = max(col, default=None)
+        while low in owner:
             t = owner[low]
             q = col[low]
-            other, ct = Rcols[t], Ccols[t]
-            if p is None:
-                for i in range(low + 1):
-                    col[i] -= q * other[i]
-                for i in range(t + 1):
-                    cj[i] -= q * ct[i]
-            else:
-                for i in range(low + 1):
-                    col[i] = (col[i] - q * other[i]) % p
-                for i in range(t + 1):
-                    cj[i] = (cj[i] - q * ct[i]) % p
-            low = _low(col, low - 1)
+            sparse_subtract(col, q, R[t].items(), p)
+            sparse_subtract(cj, q, C[t].items(), p)
+            low = max(col, default=None)
         if low is None:
             continue
         if coeff.is_integers and col[low] not in (1, -1):
             raise _Obstruction(k, j, col[low])
         inv = _inverse(col[low], p)
         if inv != 1:
-            for v, top in ((col, low), (cj, j)):
-                for i in range(top + 1):
+            for v in (col, cj):
+                for i in v:
                     v[i] = v[i] * inv % p if p else v[i] * inv
         owner[low] = j
         pairs[j] = low
-    return pairs, Ccols, Rcols
+    return pairs, C, R
 
 
 @dataclass
@@ -115,16 +97,20 @@ class CanonicalForm:
 
     ``pairs`` couples an upper point with a strictly lower-valued point one
     degree down; ``free`` holds everything unpaired. ``basis`` maps a degree
-    to the (row-major) value-order triangular basis-change matrix P_k with
-    nonzero diagonal, and ``normal`` to B_k = P_{k-1}^{-1} D_k P_k, whose
-    columns are zero or a single 1 in an otherwise-zero row.
+    to the value-order triangular basis-change matrix P_k with nonzero
+    diagonal, and ``normal`` to B_k = P_{k-1}^{-1} D_k P_k, whose columns are
+    zero or a single 1 in an otherwise-zero row. Both are sparse, one
+    column per degree-k point. A column of P_k is the reduction's own
+    ``{row: coeff}`` dict. A column of B_k has the format of
+    ``FilteredComplex.columns``: ``((m, 1),)`` for a column paired with row
+    m, and ``()`` otherwise.
     """
 
     coeff: Coefficients
     pairs: tuple[tuple[CriticalPoint, CriticalPoint], ...]
     free: tuple[CriticalPoint, ...]
-    basis: dict[int, list[list]]
-    normal: dict[int, list[list]]
+    basis: dict[int, list[dict[int, object]]]
+    normal: dict[int, tuple[tuple[tuple[int, int], ...], ...]]
 
     def pair_names(self) -> set[tuple[str, str]]:
         return {(u.name, l.name) for u, l in self.pairs}
@@ -158,21 +144,16 @@ class Obstructed:
 IntegerReductionOutcome = Union[Certified, Obstructed]
 
 
-def _columns_to_rows(cols, nrows):
-    return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-
-
 def _assemble(c: FilteredComplex, per_degree, coeff) -> CanonicalForm:
     """P_k = C_k except that a pivot row m of D_k takes the reduced column
     R_j (pivot 1) of its partner j, and B_k holds a 1 at (m, j)."""
     Pcols = {k: C for k, (_, C, _) in per_degree.items()}
-    Bcols = {k: [[0] * len(c.points(k - 1)) for _ in c.points(k)]
-             for k in per_degree}
+    Bcols = {k: [()] * len(c.points(k)) for k in per_degree}
     partner = {}  # upper point name -> (upper, lower)
     for k, (pairs, _C, R) in per_degree.items():
         for j, m in pairs.items():
             Pcols[k - 1][m] = R[j]
-            Bcols[k][j][m] = 1
+            Bcols[k][j] = ((m, 1),)
             upper = c.points(k)[j]
             partner[upper.name] = (upper, c.points(k - 1)[m])
     paired = {p.name for pair in partner.values() for p in pair}
@@ -181,8 +162,8 @@ def _assemble(c: FilteredComplex, per_degree, coeff) -> CanonicalForm:
         coeff=coeff,
         pairs=tuple(partner[p.name] for p in order if p.name in partner),
         free=tuple(p for p in order if p.name not in paired),
-        basis={k: _columns_to_rows(Pcols[k], len(c.points(k))) for k in per_degree},
-        normal={k: _columns_to_rows(Bcols[k], len(c.points(k - 1))) for k in per_degree},
+        basis=Pcols,
+        normal={k: tuple(B) for k, B in Bcols.items()},
     )
     _verify_normal_form(c, form)
     return form
@@ -198,17 +179,13 @@ def _verify_normal_form(c: FilteredComplex, form: CanonicalForm) -> None:
     for k in form.normal:
         lower = c.points(k - 1)
         upper = c.points(k)
-        P = sparse_columns(form.basis[k], len(upper))
-        Plow = sparse_columns(form.basis.get(k - 1, ()), len(lower))
-        B = sparse_columns(form.normal[k], len(upper))
-        lhs_cols = sparse_product_columns(c.columns(k), P, len(lower))
-        rhs_cols = sparse_product_columns(Plow, B, len(lower))
+        P = [col.items() for col in form.basis[k]]
+        Plow = [col.items() for col in form.basis.get(k - 1, ())]
+        lhs_cols = sparse_product_columns(c.columns(k), P, p)
+        rhs_cols = sparse_product_columns(Plow, form.normal[k], p)
         for j, (lhs, rhs) in enumerate(zip(lhs_cols, rhs_cols)):
-            if p is not None:
-                lhs = [a % p for a in lhs]
-                rhs = [b % p for b in rhs]
             if lhs != rhs:
-                i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                i = min(i for i in lhs.keys() | rhs.keys() if lhs.get(i) != rhs.get(i))
                 raise InternalInconsistencyError(
                     f"normal form verification failed over {form.coeff.token()} "
                     f"at degree {k}: row {i} ({lower[i].name}), "

@@ -14,6 +14,7 @@ from .barannikov import Certified, Obstructed, betti, reduce as breduce, reduce_
 from .coeff import Coefficients, INTEGERS
 from .complexes import (
     FilteredComplex,
+    global_index,
     negate,
     parse_complex,
     restrict,
@@ -402,8 +403,9 @@ def _battery(c: FilteredComplex, trial_seed: int) -> list[str]:
             failures.append(f"betti/homology mismatch in degree {k}")
     if negate(negate(c)) != c:
         failures.append("negation is not an involution")
-    if maxmin_int(c)[0] != -minmax_int(negate(c))[0]:
-        failures.append("integer duality broken")
+    # maxmin_* take the negated complex's index as ambient - lambda unchecked
+    if global_index(negate(c)) != c.ambient_dim - global_index(c):
+        failures.append("global index of the negation is not ambient minus lambda")
     gap = min_value_gap(c)
     eps = gap / 4 if gap is not None else Fraction(1)
     moved = perturb_values(c, eps, seed=trial_seed)

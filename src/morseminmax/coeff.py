@@ -120,18 +120,39 @@ def sparse_columns(A: Sequence[Sequence], ncols: int = 0) -> list[list[tuple[int
     return [[(i, v) for i, v in enumerate(col) if v] for col in zip(*A)]
 
 
-def sparse_product_columns(A_cols, B_cols, nrows: int):
-    """Yield each column of A @ B densely, from the sparse columns of A and B.
+def sparse_product_columns(A_cols, B_cols, p: int | None = None):
+    """Yield each column of A @ B as a sparse ``{row: value}`` dict.
 
-    Column j costs one scaled copy of a column of A per nonzero of column j
-    of B, so the whole product costs what its nonzero terms cost.
+    A and B are given as sparse columns of ``(row, value)`` entries. Values
+    are reduced mod p when p is given, and zero values are dropped, so a
+    zero column is ``{}``. Column j costs one scaled copy of a column of A
+    per nonzero of column j of B, so the whole product costs what its
+    nonzero terms cost.
     """
     for terms in B_cols:
-        out = [0] * nrows
+        out: dict[int, object] = {}
         for t, b in terms:
             for i, a in A_cols[t]:
-                out[i] += a * b
-        yield out
+                out[i] = out.get(i, 0) + a * b
+        if p is not None:
+            out = {i: v % p for i, v in out.items()}
+        yield {i: v for i, v in out.items() if v}
+
+
+def sparse_subtract(col: dict, q, other, p: int | None = None) -> None:
+    """``col -= q * other`` in place on a sparse ``{row: value}`` column.
+
+    ``other`` yields ``(row, value)`` entries. Values are reduced mod p when
+    p is given, and entries that cancel are removed.
+    """
+    for i, v in other:
+        x = col.get(i, 0) - q * v
+        if p is not None:
+            x %= p
+        if x:
+            col[i] = x
+        else:
+            col.pop(i, None)
 
 
 @dataclass(frozen=True)

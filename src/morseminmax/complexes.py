@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .coeff import RATIONALS, invariant_factors, sparse_columns, sparse_product_columns
+from .coeff import (RATIONALS, invariant_factors, sparse_columns, sparse_product_columns,
+                    sparse_subtract)
 from .errors import (
     EndpointCriticalError,
     InternalInconsistencyError,
@@ -431,9 +432,7 @@ def _violations(c: FilteredComplex) -> tuple[Violation, ...]:
                         f"{lower[row].name} (value {lower[row].value})"))
     for k in c.degrees():
         if c.points(k - 1) and c.points(k + 1):
-            prod = sparse_product_columns(c.columns(k), c.columns(k + 1),
-                                          len(c.points(k - 1)))
-            if any(any(col) for col in prod):
+            if any(sparse_product_columns(c.columns(k), c.columns(k + 1))):
                 violations.append(Violation(
                     "dd_nonzero", f"boundary squared is nonzero from degree {k + 1}"))
     result = tuple(violations)
@@ -570,20 +569,18 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
             continue
         Plow = P_of(k - 1)
         Plow_cols = sparse_columns(Plow, len(lower))
-        right = sparse_product_columns(c.columns(k), sparse_columns(P_of(k), len(upper)),
-                                       len(lower))
+        right = sparse_product_columns(c.columns(k), sparse_columns(P_of(k), len(upper)))
         for col, (p, rest) in enumerate(zip(upper, right)):
             chain = {}
-            for row in range(len(lower) - 1, -1, -1):
+            while rest:
+                row = max(rest)
                 q, rem = divmod(rest[row], Plow[row][row])
                 if rem:
                     raise InternalInconsistencyError(
                         f"degree {k} basis change leaves remainder {rem} "
                         f"at row {row} ({lower[row].name}), column {col} ({p.name})")
-                if q:
-                    chain[lower[row].name] = q
-                    for i, v in Plow_cols[row]:
-                        rest[i] -= q * v
+                chain[lower[row].name] = q
+                sparse_subtract(rest, q, Plow_cols[row])
             if chain:
                 boundaries[p.name] = chain
     points = [(p.name, p.degree, p.value) for k in c.degrees() for p in c.points(k)]

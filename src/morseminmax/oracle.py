@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .coeff import (
     Coefficients,
-    RATIONALS,
     field_kernel_basis,
     invariant_factors,
     rank_over,
@@ -38,16 +37,30 @@ def _rank(c: FilteredComplex, field: Coefficients, k: int) -> int:
     return got
 
 
+def _factors(c: FilteredComplex, k: int) -> tuple[int, ...]:
+    """Nonzero invariant factors of the degree-k boundary matrix, memoized
+    per complex; their count is its rank."""
+    key = ("oracle_factors", k)
+    got = c._cache.get(key)
+    if got is None:
+        empty = not (c.points(k - 1) and c.points(k))
+        got = c._cache[key] = () if empty else invariant_factors(
+            [list(r) for r in c.matrix(k)], ncols=len(c.points(k)))
+    return got
+
+
 def homology(c: FilteredComplex, coeff: Coefficients, k: int) -> HomologySummary:
-    """Rank (and over Z, torsion divisors) of homology in degree k."""
+    """Rank (and over Z, torsion divisors) of homology in degree k.
+
+    Over Z both come from the Smith forms of D_k and D_{k+1}; over a field
+    the ranks come from elimination.
+    """
     nk = len(c.points(k))
-    field = RATIONALS if coeff.is_integers else coeff
-    rank = nk - _rank(c, field, k) - _rank(c, field, k + 1)
-    torsion: tuple[int, ...] = ()
-    if coeff.is_integers and c.points(k + 1) and nk:
-        up = [list(r) for r in c.matrix(k + 1)]
-        torsion = tuple(d for d in invariant_factors(up) if d > 1)
-    return HomologySummary(rank=rank, torsion=torsion)
+    if not coeff.is_integers:
+        return HomologySummary(rank=nk - _rank(c, coeff, k) - _rank(c, coeff, k + 1))
+    down, up = _factors(c, k), _factors(c, k + 1)
+    return HomologySummary(rank=nk - len(down) - len(up),
+                           torsion=tuple(d for d in up if d > 1))
 
 
 class _PrefixRanks:
@@ -148,15 +161,14 @@ def _global_index(c: FilteredComplex) -> int:
     """The degree of the rank-one, torsion-free total homology, memoized.
 
     ``complexes.global_index`` reads homology off the column reductions, so
-    the oracle computes its own from one Smith form per boundary matrix: the
-    nonzero invariant factors count its rank, and any factor above 1 is
-    torsion.
+    the oracle computes its own from one Smith form per boundary matrix,
+    shared with :func:`homology`: the nonzero invariant factors count its
+    rank, and any factor above 1 is torsion.
     """
     lam = c._cache.get("oracle_global_index")
     if lam is not None:
         return lam
-    factors = {k: invariant_factors([list(r) for r in c.matrix(k)], ncols=len(c.points(k)))
-               for k in c.degrees()}
+    factors = {k: _factors(c, k) for k in c.degrees()}
     betti = {k: len(c.points(k)) - len(factors[k]) - len(factors.get(k + 1, ()))
              for k in c.degrees()}
     ones = [k for k, b in betti.items() if b == 1]

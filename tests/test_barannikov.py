@@ -1,6 +1,6 @@
-import copy
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +20,8 @@ from morseminmax.errors import InternalInconsistencyError
 from morseminmax.gen import paper_fixture, random_admissible_complex, single_point
 from morseminmax.selector import minmax_field
 
+from helpers import mat_mul
+
 F2 = Coefficients.prime_field(2)
 F3 = Coefficients.prime_field(3)
 F5 = Coefficients.prime_field(5)
@@ -33,6 +35,26 @@ def laudenbach():
 @pytest.fixture
 def f0():
     return paper_fixture("f0")
+
+
+def dense(cols, nrows):
+    """Row-major matrix of sparse columns, ``{row: value}`` dicts or
+    ``(row, value)`` pairs."""
+    rows = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in dict(col).items():
+            rows[i][j] = v
+    return rows
+
+
+def bump(cols, i, j):
+    """The sparse columns with 1 added to entry (i, j); only column j is
+    rebuilt, in the format it had."""
+    col = dict(cols[j])
+    col[i] = col.get(i, 0) + 1
+    if not isinstance(cols[j], dict):
+        col = tuple(sorted(col.items()))
+    return [*cols[:j], col, *cols[j + 1:]]
 
 
 def check_form(c, form):
@@ -49,9 +71,10 @@ def check_form(c, form):
         seen.add(p.name)
     assert seen == {p.name for p in c.all_points()}
     # normal-form shape: every column zero or a single 1 in an otherwise-zero row
-    for k, B in form.normal.items():
+    for k, cols in form.normal.items():
         nrows = len(c.points(k - 1))
         ncols = len(c.points(k))
+        B = dense(cols, nrows)
         hit_rows = set()
         for j in range(ncols):
             nz = [i for i in range(nrows) if B[i][j] != 0]
@@ -61,12 +84,23 @@ def check_form(c, form):
                 assert nz[0] not in hit_rows
                 hit_rows.add(nz[0])
     # value-order triangular basis with nonzero diagonal
-    for k, P in form.basis.items():
+    for k, cols in form.basis.items():
         mk = len(c.points(k))
+        P = dense(cols, mk)
         for i in range(mk):
             assert P[i][i] != 0
             for row in range(i + 1, mk):
                 assert P[row][i] == 0
+    # D_k P_k = P_{k-1} B_k, multiplied out densely and apart from the library
+    p = form.coeff.p
+    for k in form.normal:
+        lower, upper = len(c.points(k - 1)), len(c.points(k))
+        lhs = mat_mul(dense(c.columns(k), lower), dense(form.basis[k], upper))
+        rhs = mat_mul(dense(form.basis.get(k - 1, ()), lower), dense(form.normal[k], lower))
+        if p is not None:
+            lhs = [[v % p for v in row] for row in lhs]
+            rhs = [[v % p for v in row] for row in rhs]
+        assert lhs == rhs
 
 
 def test_laudenbach_mod2(laudenbach):
@@ -115,7 +149,8 @@ def test_reduce_integer_certifies_f0(f0):
     assert outcome.form.pair_names() == {("xi1_n", "xi1_nm1"), ("xi1_np1", "xi3_n")}
     check_form(f0, outcome.form)
     # integral data with unit diagonals
-    for k, P in outcome.form.basis.items():
+    for k, cols in outcome.form.basis.items():
+        P = dense(cols, len(cols))
         for i in range(len(P)):
             assert P[i][i] in (1, -1)
             assert all(isinstance(v, int) for v in P[i])
@@ -183,13 +218,12 @@ def test_verify_normal_form_catches_corrupt_basis(coeff):
     form = _form_over(c, coeff)
     _verify_normal_form(c, form)
     # every column t of D_k that is nonzero (mod p) makes entry (t, j) of P_k visible
-    seen = [(k, t) for k in form.normal for t in range(len(c.points(k)))
-            if any(row[t] % p if p else row[t] for row in c.matrix(k))]
+    seen = [(k, t) for k in form.normal for t, col in enumerate(c.columns(k))
+            if any(v % p if p else v for _, v in col)]
     assert seen
     for k, t in seen:
         j = len(c.points(k)) - 1
-        bad = copy.deepcopy(form)
-        bad.basis[k][t][j] += 1
+        bad = replace(form, basis={**form.basis, k: bump(form.basis[k], t, j)})
         with pytest.raises(InternalInconsistencyError, match=f"over {coeff.token()} "):
             _verify_normal_form(c, bad)
 
@@ -203,8 +237,7 @@ def test_verify_normal_form_catches_corrupt_normal(coeff):
         upper, lower = c.points(k), c.points(k - 1)
         for i in range(len(lower)):
             for j in range(len(upper)):
-                bad = copy.deepcopy(form)
-                bad.normal[k][i][j] += 1
+                bad = replace(form, normal={**form.normal, k: bump(form.normal[k], i, j)})
                 with pytest.raises(InternalInconsistencyError) as err:
                     _verify_normal_form(c, bad)
                 # the message names the field and the points of the failing entry

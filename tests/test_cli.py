@@ -2,9 +2,10 @@ import io
 import sys
 from pathlib import Path
 
+from morseminmax import cli
 from morseminmax.cli import main
-from morseminmax.complexes import parse_complex, serialize
-from morseminmax.gen import paper_fixture
+from morseminmax.complexes import negate, parse_complex, serialize
+from morseminmax.gen import paper_fixture, random_admissible_complex
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 LAUDENBACH = str(DATA_DIR / "laudenbach.cplx")
@@ -213,3 +214,12 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "validate", "-")
     assert code == 1
     assert "not UTF-8" in err
+
+
+def test_fuzz_battery_checks_the_negated_global_index(monkeypatch):
+    c = random_admissible_complex(3, max_points=20)
+    assert cli._battery(c, 3) == []
+    neg = negate(c)
+    real = cli.global_index
+    monkeypatch.setattr(cli, "global_index", lambda d: real(d) + (d is neg))
+    assert cli._battery(c, 3) == ["global index of the negation is not ambient minus lambda"]

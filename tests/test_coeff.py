@@ -12,6 +12,8 @@ from morseminmax.coeff import (
     is_prime,
     rank_over,
     smith_normal_form,
+    sparse_product_columns,
+    sparse_subtract,
 )
 
 from helpers import det, mat_mul, rank_fraction
@@ -194,3 +196,23 @@ def test_is_prime():
         assert is_prime(n) == slow_prime(n)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+
+
+def test_sparse_product_columns_drops_zeros():
+    # A = [[1, 1], [0, 2]]; B = [[1], [-1]] cancels row 0 and leaves 2*(-1) in row 1
+    A = [((0, 1),), ((0, 1), (1, 2))]
+    B = [((0, 1), (1, -1))]
+    assert list(sparse_product_columns(A, B)) == [{1: -2}]
+    assert list(sparse_product_columns(A, B, 2)) == [{}]
+    assert list(sparse_product_columns(A, B, 3)) == [{1: 1}]
+    # a column of B that cancels exactly, and an empty column
+    assert list(sparse_product_columns(A, [((0, 2), (1, -1)), ()])) == [{0: 1, 1: -2}, {}]
+    assert list(sparse_product_columns([((0, 1),), ((0, -1),)], [((0, 1), (1, 1))])) == [{}]
+
+
+def test_sparse_subtract_removes_cancelled_entries():
+    col = {0: 1, 2: 3}
+    sparse_subtract(col, 3, [(1, 1), (2, 1)])
+    assert col == {0: 1, 1: -3}
+    sparse_subtract(col, 1, [(0, 1), (1, 2)], 5)
+    assert col == {}

@@ -125,5 +125,23 @@ def test_oracle_ranks_each_boundary_matrix_once(monkeypatch):
     assert sum(ranks) == 1
     assert len(calls) == len(nonempty)
     homology(c, RATIONALS, 2)  # ranks D_2 and D_3 over Q
-    homology(c, INTEGERS, 2)  # the same ranks, already known
+    homology(c, INTEGERS, 2)  # over Z the ranks come from Smith forms
     assert len(calls) == len(nonempty) + 2
+
+
+def test_oracle_takes_one_smith_form_per_boundary_matrix(monkeypatch):
+    calls = []
+    real = oracle.invariant_factors
+
+    def counting(A, **kw):
+        calls.append(len(A))
+        return real(A, **kw)
+
+    monkeypatch.setattr(oracle, "invariant_factors", counting)
+    c = random_admissible_complex(5, max_points=40)
+    nonempty = [k for k in c.degrees() if c.points(k - 1)]
+    assert len(nonempty) >= 3
+    ranks = [homology(c, INTEGERS, k).rank for k in range(c.ambient_dim + 1)]
+    assert sum(ranks) == 1
+    minmax_scan_field(c, F2)
+    assert len(calls) == len(nonempty)
