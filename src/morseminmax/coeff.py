@@ -391,57 +391,3 @@ def rank_over(A: Sequence[Sequence[int]], coeff: Coefficients) -> int:
     field = RATIONALS if coeff.is_integers else coeff
     rows = _to_field_rows(A, field)
     return _echelon(rows, field)
-
-
-def field_kernel_basis(A: Sequence[Sequence[int]], coeff: Coefficients,
-                       *, ncols: int | None = None):
-    """Kernel basis (list of column vectors) of an integer matrix over a field."""
-    if coeff.is_integers:
-        raise ValueError("field_kernel_basis needs Q or a prime field")
-    m = len(A)
-    n = len(A[0]) if m else (ncols if ncols is not None else 0)
-    if n == 0:
-        return []
-    if m == 0:
-        one = 1 if coeff.kind == "Fp" else Fraction(1)
-        zero = 0 if coeff.kind == "Fp" else Fraction(0)
-        return [[one if i == j else zero for i in range(n)] for j in range(n)]
-    p = coeff.p if coeff.kind == "Fp" else None
-    rows = _to_field_rows(A, coeff)
-    # reduced row echelon form
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        inv = pow(pv, -1, p) if p else 1 / pv
-        rows[rank] = [(v * inv % p) if p else v * inv for v in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                if p:
-                    rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-                else:
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    pivot_set = set(pivots)
-    zero = 0 if p else Fraction(0)
-    one = 1 if p else Fraction(1)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [zero] * n
-        vec[free] = one
-        for r, col in enumerate(pivots):
-            v = rows[r][free]
-            vec[col] = (-v) % p if p else -v
-        basis.append(vec)
-    return basis
-

@@ -1,9 +1,14 @@
 """Independent recomputation used to cross-check the reduction and selectors.
 
-The routes here avoid the column reduction entirely: homology and torsion via
-Smith forms, the pairing via rank inclusion-exclusion over pairs of prefix
-subcomplexes, and the minmax via direct field-rank scans of the filtration.
-Agreement with the fast paths is meaningful evidence; speed is a non-goal.
+The routes here avoid the column reduction entirely. Over a field every
+number is the rank (``rank_over``) of a submatrix of a boundary matrix D_k,
+whose rows and columns are the degree k-1 and degree k points in value
+order. Homology ranks come from whole matrices, the pairing from the ranks
+of the lower-left blocks ``D_k[m:, :j]`` (the pairing lemma of
+Cohen-Steiner, Edelsbrunner and Morozov 2006), and the minmax from the
+ranks of H_k of prefixes, which are sums of such ranks. Over Z, homology,
+torsion and the global index come from Smith forms. Agreement with the
+fast paths is meaningful evidence; speed is a non-goal.
 """
 
 from __future__ import annotations
@@ -11,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import (
-    Coefficients,
-    field_kernel_basis,
-    invariant_factors,
-    rank_over,
-)
+from .coeff import Coefficients, invariant_factors, rank_over
 from .complexes import CriticalPoint, FilteredComplex
 from .errors import InternalInconsistencyError, NotAdmissibleError
 
@@ -27,13 +27,20 @@ class HomologySummary:
     torsion: tuple[int, ...] = ()
 
 
-def _rank(c: FilteredComplex, field: Coefficients, k: int) -> int:
-    """Rank of the degree-k boundary matrix over ``field``, memoized per complex."""
+def _rank(c: FilteredComplex, field: Coefficients, k: int,
+          first_row: int = 0, ncols: int | None = None) -> int:
+    """Rank over ``field`` of the submatrix ``D_k[first_row:, :ncols]`` of the
+    degree-k boundary matrix; the full matrix's rank is memoized per complex."""
+    n = len(c.points(k)) if ncols is None else ncols
+    if not n or first_row >= len(c.points(k - 1)):
+        return 0
+    full = first_row == 0 and n == len(c.points(k))
     key = ("oracle_rank", field.token(), k)
-    got = c._cache.get(key)
+    got = c._cache.get(key) if full else None
     if got is None:
-        empty = not (c.points(k - 1) and c.points(k))
-        got = c._cache[key] = 0 if empty else rank_over([list(r) for r in c.matrix(k)], field)
+        got = rank_over([list(r[:n]) for r in c.matrix(k)[first_row:]], field)
+        if full:
+            c._cache[key] = got
     return got
 
 
@@ -63,97 +70,42 @@ def homology(c: FilteredComplex, coeff: Coefficients, k: int) -> HomologySummary
                            torsion=tuple(d for d in up if d > 1))
 
 
-class _PrefixRanks:
-    """Memoized ranks of induced maps H_k(prefix_s) -> H_k(prefix_t).
+def _prefix_rank(c: FilteredComplex, field: Coefficients, k: int,
+                 cs: int, ct: int) -> int:
+    """Rank of the map from the cycles on the first ``cs`` degree-k points
+    to H_k modulo the boundaries of the first ``ct`` degree-(k+1) points.
 
-    Prefixes are counted in filtration order over all points; the rank of the
-    induced map is dim(Z_s + B_t) - dim(B_t) where Z_s is the kernel of the
-    degree-k boundary restricted to the first s filtration levels and B_t the
-    span of boundary columns present by level t.
+    It is dim Z_s - dim(Z_s ∩ B_t), and as B_t lies in the cycles,
+    Z_s ∩ B_t is the part of B_t supported on the first ``cs`` rows.
     """
-
-    def __init__(self, c: FilteredComplex, field: Coefficients):
-        if not field.is_field:
-            raise ValueError("prefix ranks are computed over a field")
-        self.c = c
-        self.field = field
-        self.levels = c.all_points()
-        self._beta: dict[tuple[int, int, int], int] = {}
-        self._cols_upto: dict[tuple[int, int], int] = {}
-
-    def _ncols(self, k: int, level: int) -> int:
-        """Number of degree-k points within the first ``level`` points."""
-        key = (k, level)
-        got = self._cols_upto.get(key)
-        if got is None:
-            got = sum(1 for p in self.levels[:level] if p.degree == k)
-            self._cols_upto[key] = got
-        return got
-
-    def _boundary_cols(self, k: int, count: int):
-        mat = self.c.matrix(k)
-        nrows = len(self.c.points(k - 1))
-        return [[mat[i][j] for j in range(count)] for i in range(nrows)]
-
-    def rank_map(self, k: int, s: int, t: int) -> int:
-        if s == 0:
-            return 0
-        cs = self._ncols(k, s)
-        ct = self._ncols(k + 1, t)
-        key = (k, cs, ct)
-        got = self._beta.get(key)
-        if got is not None:
-            return got
-        nrows = len(self.c.points(k))
-        restricted = self._boundary_cols(k, cs) if nrows and cs else []
-        if cs and not self.c.points(k - 1):
-            kernel = field_kernel_basis([], self.field, ncols=cs)
-        elif cs:
-            kernel = field_kernel_basis(restricted, self.field, ncols=cs)
-        else:
-            kernel = []
-        upmat = self.c.matrix(k + 1)
-        bcols = [[upmat[i][j] for i in range(nrows)] for j in range(ct)] if nrows else []
-        zcols = [list(vec) + [0] * (nrows - cs) for vec in kernel]
-        rank_b = _rank_cols(bcols, nrows, self.field)
-        rank_zb = _rank_cols(zcols + bcols, nrows, self.field)
-        value = rank_zb - rank_b
-        self._beta[key] = value
-        return value
-
-
-def _rank_cols(cols, nrows, field):
-    if not cols or nrows == 0:
-        return 0
-    rows = [[col[i] for col in cols] for i in range(nrows)]
-    return rank_over(rows, field)
+    return (cs - _rank(c, field, k, 0, cs)
+            - _rank(c, field, k + 1, 0, ct) + _rank(c, field, k + 1, cs, ct))
 
 
 def pairs_by_rank(c: FilteredComplex, field: Coefficients,
                   ) -> set[tuple[CriticalPoint, CriticalPoint]]:
-    """The canonical pairing recovered purely from prefix rank arithmetic.
+    """The canonical pairing recovered purely from ranks of submatrices.
 
-    The multiplicity of a couple (lower at level s, upper at level t) is the
-    inclusion-exclusion of the four induced ranks at the corners of (s, t);
-    with pairwise distinct values every multiplicity is 0 or 1.
+    With r(m, j) the rank of ``D_k[m:, :j]``, row m is the pivot of column
+    j in every reduction exactly when r(m, j+1) - r(m, j) - r(m+1, j+1)
+    + r(m+1, j) is 1 (the pairing lemma of Cohen-Steiner, Edelsbrunner and
+    Morozov 2006); any other nonzero value is an inconsistency.
     """
-    pre = _PrefixRanks(c, field)
-    levels = pre.levels
+    if not field.is_field:
+        raise ValueError("submatrix ranks are computed over a field")
     pairs = set()
-    for t, upper in enumerate(levels, start=1):
-        k = upper.degree - 1
-        if not c.points(k):
-            continue
-        for s, lower in enumerate(levels[: t - 1], start=1):
-            if lower.degree != k:
-                continue
-            mult = (pre.rank_map(k, s, t - 1) - pre.rank_map(k, s, t)
-                    - pre.rank_map(k, s - 1, t - 1) + pre.rank_map(k, s - 1, t))
-            if mult:
-                if mult != 1:
-                    raise InternalInconsistencyError(
-                        f"pairing multiplicity {mult} at ({lower.name}, {upper.name})")
-                pairs.add((upper, lower))
+    for k in c.degrees():
+        lower, upper = c.points(k - 1), c.points(k)
+        r = [[_rank(c, field, k, m, j) for j in range(len(upper) + 1)]
+             for m in range(len(lower) + 1)]
+        for m, low in enumerate(lower):
+            for j, up in enumerate(upper):
+                mult = r[m][j + 1] - r[m][j] - r[m + 1][j + 1] + r[m + 1][j]
+                if mult:
+                    if mult != 1:
+                        raise InternalInconsistencyError(
+                            f"pairing multiplicity {mult} at ({low.name}, {up.name})")
+                    pairs.add((up, low))
     return pairs
 
 
@@ -183,12 +135,11 @@ def minmax_scan_field(c: FilteredComplex, field: Coefficients,
                       ) -> tuple[Fraction, CriticalPoint]:
     """Smallest critical value whose prefix cycles already generate the
     degree-lambda homology of the whole complex, by direct rank computation."""
+    if not field.is_field:
+        raise ValueError("submatrix ranks are computed over a field")
     lam = _global_index(c)
-    pre = _PrefixRanks(c, field)
-    n = len(pre.levels)
-    for s, point in enumerate(pre.levels, start=1):
-        if point.degree != lam:
-            continue
-        if pre.rank_map(lam, s, n) >= 1:
+    top = len(c.points(lam + 1))
+    for cs, point in enumerate(c.points(lam), start=1):
+        if _prefix_rank(c, field, lam, cs, top) >= 1:
             return point.value, point
     raise InternalInconsistencyError("no prefix generates the global class")

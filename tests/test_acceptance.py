@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from morseminmax.barannikov import Certified, Obstructed, betti, reduce, reduce_integer
 from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS, smith_normal_form
-from morseminmax.complexes import change_basis, negate, restrict
+from morseminmax.complexes import change_basis, negate, parse_complex, restrict, serialize
 from morseminmax.gen import (
     FIXTURE_NAMES,
     min_value_gap,
@@ -261,7 +261,8 @@ def test_c10_duality(corpus):
         c = corpus[trial]
         if negate(negate(c)) != c:
             failures += 1
-        neg = negate(c)
+        # a fresh parse: maxmin_* memoized minmax_* on negate(c) itself
+        neg = parse_complex(serialize(negate(c)))
         mm_int, sm_int = ints[trial]
         got = minmax_int(neg)
         if sm_int[0] != -got[0] or sm_int[1].name != got[1].name:

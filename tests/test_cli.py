@@ -1,5 +1,6 @@
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from morseminmax import cli
@@ -176,6 +177,14 @@ def test_oracle_on_inadmissible_input(tmp_path, capsys):
     assert code == 0
     assert "homology degree=1 rank=2" in out
     assert "scan" not in out
+
+
+def test_oracle_scan_follows_its_own_global_index(monkeypatch, capsys):
+    real = cli.validate
+    monkeypatch.setattr(cli, "validate", lambda c: replace(real(c), admissible=False))
+    code, out, _ = run(capsys, "oracle", LAUDENBACH, "--coeff", "q")
+    assert code == 0
+    assert "scan minmax=2 witness=xi2_n" in out
 
 
 def test_verify_paper(capsys):

@@ -27,7 +27,7 @@ def commands():
             yield ["reduce", rel, "--coeff", coeff]
         yield ["selector", rel, "--coeff", "z,q,f2,f3,f5", "--machine"]
         yield ["selector", rel, "--coeff", "z,q,f2"]
-        for coeff in ("f2", "z"):
+        for coeff in ("f2", "z", "q", "f3"):
             yield ["oracle", rel, "--coeff", coeff]
     yield ["verify-paper"]
     yield ["fuzz", "--trials", "20", "--seed", "0"]

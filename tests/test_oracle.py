@@ -7,7 +7,7 @@ from morseminmax.barannikov import betti, reduce
 from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS
 from morseminmax.complexes import FilteredComplex, restrict
 from morseminmax.gen import paper_fixture, random_admissible_complex, single_point
-from morseminmax.oracle import _PrefixRanks, homology, minmax_scan_field, pairs_by_rank
+from morseminmax.oracle import _prefix_rank, homology, minmax_scan_field, pairs_by_rank
 from morseminmax.selector import minmax_field
 
 F2 = Coefficients.prime_field(2)
@@ -93,19 +93,38 @@ def test_betti_matches_homology(laudenbach):
         assert betti(window, RATIONALS, k) == homology(window, RATIONALS, k).rank
 
 
-def test_rank_profile_monotone():
+def test_prefix_rank_monotone():
     c = random_admissible_complex(5, max_points=10)
-    pre = _PrefixRanks(c, RATIONALS)
-    n = c.n_points
     for k in c.degrees():
-        for s in range(n + 1):
-            for t in range(s, n + 1):
-                r = pre.rank_map(k, s, t)
-                # composition through a middle level never gains rank
-                if t + 1 <= n:
-                    assert pre.rank_map(k, s, t + 1) <= r or s == 0
-                if s >= 1:
-                    assert pre.rank_map(k, s - 1, t) <= r or s - 1 == 0
+        ns, nt = len(c.points(k)), len(c.points(k + 1))
+        for cs in range(ns + 1):
+            for ct in range(nt + 1):
+                r = _prefix_rank(c, RATIONALS, k, cs, ct)
+                # more boundaries never gain rank, more cycles never lose it
+                if ct < nt:
+                    assert _prefix_rank(c, RATIONALS, k, cs, ct + 1) <= r
+                if cs:
+                    assert _prefix_rank(c, RATIONALS, k, cs - 1, ct) <= r
+
+
+def test_prefix_rank_counts_the_barcode():
+    """The prefix rank counts the degree-k bars of the reduction born among
+    the first cs points and not yet killed by the first ct degree-(k+1)
+    points: free, or paired upward at index ct or later."""
+    for seed in range(30):
+        c = random_admissible_complex(seed, max_points=20)
+        for field in (F2, F3, RATIONALS):
+            form = reduce(c, field)
+            death = {lower.name: c.points(upper.degree).index(upper)
+                     for upper, lower in form.pairs}
+            killed = {upper.name for upper, _ in form.pairs}
+            for k in c.degrees():
+                nt = len(c.points(k + 1))
+                for cs in range(len(c.points(k)) + 1):
+                    for ct in range(nt + 1):
+                        alive = sum(1 for p in c.points(k)[:cs] if p.name not in killed
+                                    and death.get(p.name, nt) >= ct)
+                        assert _prefix_rank(c, field, k, cs, ct) == alive
 
 
 def test_oracle_ranks_each_boundary_matrix_once(monkeypatch):

@@ -1,6 +1,7 @@
 """The rank-scan oracle is one of three independent routes to the selectors,
 so ``oracle.py`` must not import the column reduction, the selectors or the
-fast-path helpers they share."""
+fast-path helpers they share, and the fast path must not import the
+oracle's elimination routines."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,9 @@ from morseminmax.gen import FIXTURE_NAMES, paper_fixture, random_admissible_comp
 from morseminmax.oracle import homology, minmax_scan_field, pairs_by_rank
 from morseminmax.selector import minmax_field
 
-ORACLE = Path(__file__).resolve().parent.parent / "src" / "morseminmax" / "oracle.py"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "morseminmax"
+ORACLE = PACKAGE / "oracle.py"
+FAST_PATH = [PACKAGE / name for name in ("barannikov.py", "complexes.py", "selector.py")]
 
 FORBIDDEN = {
     "barannikov",
@@ -24,6 +27,8 @@ FORBIDDEN = {
     "sparse_columns",
     "sparse_product_columns",
 }
+
+REFERENCE = {"rank_over", "_echelon"}
 
 
 def imported_names(source: str) -> set[str]:
@@ -49,6 +54,17 @@ def test_imported_names_sees_every_import_form():
 
 def test_oracle_imports_no_fast_path():
     assert imported_names(ORACLE.read_text()) & FORBIDDEN == set()
+
+
+def test_reference_check_sees_a_nested_or_renamed_import():
+    source = ("from .coeff import Coefficients, rank_over\n"
+              "def f():\n    from .coeff import _echelon as eliminate\n")
+    assert imported_names(source) & REFERENCE == {"rank_over", "_echelon"}
+
+
+def test_fast_path_imports_no_reference_routine():
+    for path in FAST_PATH:
+        assert imported_names(path.read_text()) & REFERENCE == set(), path.name
 
 
 def test_oracle_runs_with_the_fast_path_disabled(monkeypatch):
