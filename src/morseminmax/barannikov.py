@@ -20,7 +20,12 @@ all stay sparse columns, so a reduction costs what its nonzero entries cost.
 The integer variant runs the same greedy reduction over Z and reports a
 certificate only when every surviving pivot is a unit, which is precisely
 when a value-order triangular basis change with +-1 diagonal brings the
-boundary operator to normal form.
+boundary operator to normal form. Over Z a unit pivot is scaled like any
+other, a non-unit pivot is left as it is, and the reduction reports the
+first one. A column that meets a non-unit pivot takes Euclid's step (floor
+division, and a remainder takes the row over), so the reduction finishes
+and its zeroed columns are an echelon basis of the integer cycles, which
+``selector`` reads the integer minmax off.
 """
 
 from __future__ import annotations
@@ -34,13 +39,6 @@ from .complexes import CriticalPoint, FilteredComplex
 from .errors import InternalInconsistencyError
 
 
-class _Obstruction(Exception):
-    def __init__(self, degree: int, column: int, pivot: int):
-        self.degree = degree
-        self.column = column
-        self.pivot = pivot
-
-
 def _inverse(pivot, p):
     """Inverse of a nonzero pivot, mod p over F_p. Over Z and Q a +-1 pivot
     is its own inverse, so integer entries stay integers until a column
@@ -50,45 +48,61 @@ def _inverse(pivot, p):
     return pivot if pivot in (1, -1) else 1 / Fraction(pivot)
 
 
-def _reduce_degree(c: FilteredComplex, k: int, coeff: Coefficients):
-    """Greedy left-to-right column reduction of the degree-k boundary D of c.
+def _reduce_degree(columns, coeff: Coefficients):
+    """Greedy left-to-right reduction of the sparse columns of a matrix D.
 
-    Returns (pairs, C, R): ``pairs`` maps column index to its pivot row,
-    ``C`` are the accumulated column operations (value-order triangular) and
-    ``R = D @ C`` are the reduced columns with pairwise distinct pivots. All
-    columns are sparse ``{row: value}`` dicts: ``R`` starts from the columns
-    of D and ``C[j]`` from ``{j: 1}``. The pivot of a column is its largest
-    row. A column is scaled to pivot 1 when it takes its pivot, so every
-    later cancellation is ``col -= col[low] * other`` with no division. Over
-    Z a surviving pivot other than +-1 raises ``_Obstruction`` before any
-    scaling.
+    ``columns`` are the columns of D as ``(row, value)`` entries (dicts are
+    copied). Returns (pairs, C, R, first): ``pairs`` maps column index to its
+    pivot row, ``C`` are the accumulated column operations (value-order
+    triangular, unimodular over Z) and ``R = D @ C`` are the reduced columns
+    with pairwise distinct pivots. All columns are sparse ``{row: value}``
+    dicts: ``R`` starts from the columns of D and ``C[j]`` from ``{j: 1}``.
+    The pivot of a column is its largest row, and a unit pivot is scaled to
+    1 when its column takes it, so cancelling against it needs no division.
+
+    Over Z a fresh non-unit pivot is left unscaled, and ``first`` is the
+    first of them as ``(column, pivot)`` (None if every pivot is a unit). A
+    column meeting such a pivot takes Euclid's step: it is cancelled by floor
+    division, and a nonzero remainder takes the row over, the two slots
+    swapping their R and C. No remainder can arise before ``first``. A dead
+    slot j (``R[j]`` empty) then holds a kernel vector ending at index j, and
+    the dead slots below s are a basis of the integer kernel of the first s
+    columns.
     """
-    p = coeff.p
+    p, integers = coeff.p, coeff.is_integers
     R = [{i: v % p for i, v in terms if v % p} if p else dict(terms)
-         for terms in c.columns(k)]
+         for terms in columns]
     C = [{j: 1} for j in range(len(R))]
     owner: dict[int, int] = {}
     pairs: dict[int, int] = {}
-    for j, (col, cj) in enumerate(zip(R, C)):
+    first = None
+    for j in range(len(R)):
+        col, cj = R[j], C[j]
         low = max(col, default=None)
         while low in owner:
             t = owner[low]
-            q = col[low]
-            sparse_subtract(col, q, R[t].items(), p)
-            sparse_subtract(cj, q, C[t].items(), p)
+            q = col[low] // R[t][low] if integers else col[low]
+            if q:
+                sparse_subtract(col, q, R[t].items(), p)
+                sparse_subtract(cj, q, C[t].items(), p)
+            if low in col:  # a smaller remainder takes the row over
+                R[j], R[t], C[j], C[t] = R[t], col, C[t], cj
+                col, cj = R[j], C[j]
             low = max(col, default=None)
         if low is None:
             continue
-        if coeff.is_integers and col[low] not in (1, -1):
-            raise _Obstruction(k, j, col[low])
-        inv = _inverse(col[low], p)
-        if inv != 1:
-            for v in (col, cj):
-                for i in v:
-                    v[i] = v[i] * inv % p if p else v[i] * inv
+        if integers and col[low] not in (1, -1):
+            if first is None:
+                first = (j, col[low])
+        else:
+            inv = _inverse(col[low], p)
+            if inv != 1:
+                for v in (col, cj):
+                    for i in v:
+                        v[i] = v[i] * inv % p if p else v[i] * inv
         owner[low] = j
         pairs[j] = low
-    return pairs, C, R
+    return pairs, C, R, first
 
 
 @dataclass
@@ -131,7 +145,7 @@ class Certified:
 
 @dataclass(frozen=True)
 class Obstructed:
-    """Greedy integer reduction met a non-unit surviving pivot.
+    """Greedy integer reduction met a non-unit pivot.
 
     Inconclusive beyond the witness: reports the first offending column and
     pivot in (degree, value)-ascending processing order.
@@ -206,7 +220,7 @@ def reduce(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
     cached = c._cache.get(key)
     if cached is not None:
         return cached
-    per_degree = {k: _reduce_degree(c, k, field) for k in c.degrees()}
+    per_degree = {k: _reduce_degree(c.columns(k), field)[:3] for k in c.degrees()}
     form = _assemble(c, per_degree, field)
     c._cache[key] = form
     return form
@@ -217,7 +231,7 @@ def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
 
     Certified means a value-order triangular basis change with +-1 diagonal
     brings the boundary to normal form; the pairing then agrees with the
-    rational one. Obstructed returns the first non-unit surviving pivot as a
+    rational one. Obstructed returns the first non-unit pivot as a
     witness and claims nothing else. The outcome is memoized like
     :func:`reduce`.
     """
@@ -227,11 +241,11 @@ def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
         return cached
     per_degree = {}
     for k in c.degrees():
-        try:
-            per_degree[k] = _reduce_degree(c, k, INTEGERS)
-        except _Obstruction as ob:
-            outcome = Obstructed(column=c.points(k)[ob.column], pivot=ob.pivot)
+        pairs, C, R, first = _reduce_degree(c.columns(k), INTEGERS)
+        if first is not None:
+            outcome = Obstructed(column=c.points(k)[first[0]], pivot=first[1])
             break
+        per_degree[k] = pairs, C, R
     else:
         outcome = Certified(form=_assemble(c, per_degree, INTEGERS))
     c._cache[key] = outcome

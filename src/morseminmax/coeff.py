@@ -178,8 +178,13 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _snf_inplace(A: IntMatrix, ncols: int | None):
-    """Core Smith reduction; returns (U, S, V, Uinv) with A = U S V."""
+def smith_normal_form(A: IntMatrix, *, ncols: int | None = None) -> SmithDecomposition:
+    """Smith normal form of an integer matrix, total on any shape.
+
+    ``ncols`` disambiguates matrices with zero rows. The pivot strategy
+    promotes a smallest-magnitude nonzero entry, which keeps intermediate
+    coefficient growth moderate; S itself is canonical whatever the strategy.
+    """
     m = len(A)
     n = len(A[0]) if m else (ncols if ncols is not None else 0)
     S = [list(map(int, row)) for row in A]
@@ -187,7 +192,6 @@ def _snf_inplace(A: IntMatrix, ncols: int | None):
         if len(row) != n:
             raise ValueError("ragged matrix")
     U = identity_matrix(m)
-    Uinv = identity_matrix(m)
     V = identity_matrix(n)
 
     def row_add(i, j, q):  # row_i += q * row_j
@@ -196,9 +200,6 @@ def _snf_inplace(A: IntMatrix, ncols: int | None):
             Si[t] += q * Sj[t]
         for r in range(m):
             U[r][j] -= q * U[r][i]
-        Ui, Uj = Uinv[i], Uinv[j]
-        for t in range(m):
-            Ui[t] += q * Uj[t]
 
     def col_add(j, i, q):  # col_j += q * col_i
         for r in range(m):
@@ -209,7 +210,6 @@ def _snf_inplace(A: IntMatrix, ncols: int | None):
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
-        Uinv[i], Uinv[j] = Uinv[j], Uinv[i]
         for r in range(m):
             U[r][i], U[r][j] = U[r][j], U[r][i]
 
@@ -220,7 +220,6 @@ def _snf_inplace(A: IntMatrix, ncols: int | None):
 
     def negate_row(i):
         S[i] = [-v for v in S[i]]
-        Uinv[i] = [-v for v in Uinv[i]]
         for r in range(m):
             U[r][i] = -U[r][i]
 
@@ -277,17 +276,6 @@ def _snf_inplace(A: IntMatrix, ncols: int | None):
         if S[t][t] < 0:
             negate_row(t)
         t += 1
-    return U, S, V, Uinv
-
-
-def smith_normal_form(A: IntMatrix, *, ncols: int | None = None) -> SmithDecomposition:
-    """Smith normal form of an integer matrix, total on any shape.
-
-    ``ncols`` disambiguates matrices with zero rows. The pivot strategy
-    promotes a smallest-magnitude nonzero entry, which keeps intermediate
-    coefficient growth moderate; S itself is canonical whatever the strategy.
-    """
-    U, S, V, _ = _snf_inplace(A, ncols)
     return SmithDecomposition(U=U, S=S, V=V)
 
 
@@ -295,49 +283,6 @@ def invariant_factors(A: IntMatrix, *, ncols: int | None = None) -> tuple[int, .
     """Nonzero diagonal entries of the Smith form of A."""
     dec = smith_normal_form(A, ncols=ncols)
     return tuple(d for d in dec.diagonal if d != 0)
-
-
-def integer_kernel_basis(A: IntMatrix, *, ncols: int | None = None) -> list[list[int]]:
-    """Echelon basis vectors (as columns) of the integer kernel lattice of A.
-
-    One left-to-right column reduction of ``[A; I]``: the lowest nonzero
-    entry of a column is cancelled against the column that owns its row, by
-    division and a swap on remainder (Euclid), and a column whose A-part
-    vanishes contributes its I-part. Vector t has its last nonzero entry at
-    an index ``low_t`` with ``low_0 < low_1 < ...``, and for every s the
-    vectors with ``low_t < s`` form a basis of the integer kernel of the
-    first s columns of A. The basis therefore extends to a basis of the
-    ambient lattice, so coordinates of any integer kernel vector with respect
-    to it are integers.
-    """
-    m = len(A)
-    n = len(A[0]) if m else (ncols if ncols is not None else 0)
-    if any(len(row) != n for row in A):
-        raise ValueError("ragged matrix")
-    owner: dict[int, tuple[list[int], list[int]]] = {}
-    kernel = []
-    for j in range(n):
-        col = [int(A[i][j]) for i in range(m)]
-        vec = [0] * n
-        vec[j] = 1
-        low = m - 1
-        while True:
-            while low >= 0 and not col[low]:
-                low -= 1
-            if low < 0:
-                kernel.append(vec)
-                break
-            if low not in owner:
-                owner[low] = (col, vec)
-                break
-            ocol, ovec = owner[low]
-            q = col[low] // ocol[low]
-            col = [a - q * b for a, b in zip(col, ocol)]
-            vec = [a - q * b for a, b in zip(vec, ovec)]
-            if col[low]:  # remainder is strictly smaller: it takes the row over
-                owner[low] = (col, vec)
-                col, vec = ocol, ovec
-    return kernel
 
 
 # ---------------------------------------------------------------------------

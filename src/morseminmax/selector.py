@@ -3,18 +3,21 @@
 Over a field the two selectors agree and sit at the unique free critical
 point of the global-index degree. Over the integers the minmax is the first
 filtration level whose prefix carries an integer cycle generating the global
-rank-one homology; the maxmin is always evaluated through the negated
-complex, so minmax and maxmin can genuinely differ over the integers.
+rank-one homology. It is read off two integer column reductions, the same
+``barannikov._reduce_degree`` that certifies complexes: one of the boundary
+into the global degree, whose zeroed columns are an echelon cycle basis, and
+one of the boundaries out of it written in that basis. The maxmin is always
+evaluated through the negated complex, so minmax and maxmin can genuinely
+differ over the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .barannikov import reduce as _reduce
-from .coeff import Coefficients, integer_kernel_basis, _snf_inplace
+from .barannikov import _reduce_degree, reduce as _reduce
+from .coeff import INTEGERS, Coefficients, sparse_subtract
 from .complexes import CriticalPoint, FilteredComplex, global_index, negate
 from .errors import InternalInconsistencyError
 
@@ -64,57 +67,17 @@ def maxmin_field(c: FilteredComplex, field: Coefficients) -> Selected:
     return result
 
 
-def _int_scan_data(c: FilteredComplex, lam: int):
-    """Lows of the echelon cycle basis and the generator functional.
-
-    The degree-lambda cycle lattice is presented by the echelon integer
-    kernel basis H (``coeff.integer_kernel_basis``), whose vector t ends at
-    index ``lows[t]``. Boundaries are rewritten in H-coordinates by integer
-    back-substitution on the lows, and the Smith form of that presentation
-    yields a functional w that kills boundaries and maps the cycle lattice
-    onto the integers, exhibiting cycles-mod-boundaries as Z.
-    """
-    cached = c._cache.get("int_scan")
-    if cached is not None:
-        return cached
-    n_lam = len(c.points(lam))
-    down = [list(r) for r in c.matrix(lam)] if c.points(lam - 1) else []
-    H = integer_kernel_basis(down, ncols=n_lam)
-    lows = [max(i for i, v in enumerate(h) if v) for h in H]
-    z = len(H)
-    up_pts = c.points(lam + 1)
-    Y = [[0] * len(up_pts) for _ in range(z)]
-    for j, (p, terms) in enumerate(zip(up_pts, c.columns(lam + 1))):
-        rest = [0] * n_lam
-        for i, v in terms:
-            rest[i] = v
-        for t in range(z - 1, -1, -1):
-            q, rem = divmod(rest[lows[t]], H[t][lows[t]])
-            if rem:
-                break
-            if q:
-                Y[t][j] = q
-                rest = [a - q * b for a, b in zip(rest, H[t])]
-        if any(rest):
-            raise InternalInconsistencyError(
-                f"boundary of {p.name} (degree {lam + 1}) outside the cycle lattice")
-    _, S, _, Uinv = _snf_inplace(Y, len(up_pts))
-    r = sum(1 for i in range(min(z, len(up_pts))) if S[i][i] != 0)
-    divisors = [S[i][i] for i in range(r)]
-    if z - r != 1 or any(d != 1 for d in divisors):
-        raise InternalInconsistencyError(
-            "cycle/boundary presentation is not rank one and torsion free")
-    data = (lows, Uinv[z - 1])
-    c._cache["int_scan"] = data
-    return data
-
-
 def minmax_int(c: FilteredComplex) -> Selected:
     """Smallest critical value whose prefix carries an integer cycle that
     generates the global homology; the witness is the point at that value.
 
-    The cycles of the first s points are spanned by the basis vectors with
-    low below s, so the first t where gcd(w[0..t]) is 1 gives the witness.
+    The first s points of degree lambda do so exactly when their integer
+    cycles Z_s and the boundaries B span all integer cycles Z. The integer
+    reduction of the degree-lambda boundary leaves an echelon cycle basis,
+    whose vectors ending below s span Z_s. With the boundaries written in
+    that basis and reduced the same way, Z_s + B = Z exactly when every
+    basis index from s on is a +-1 pivot, so the witness is the largest
+    index that is not.
     """
     return _minmax_int_at(c, global_index(c))
 
@@ -123,16 +86,29 @@ def _minmax_int_at(c: FilteredComplex, lam: int) -> Selected:
     cached = c._cache.get("minmax_int")
     if cached is not None:
         return cached
-    lows, w = _int_scan_data(c, lam)
-    g = 0
-    for low, wt in zip(lows, w):
-        g = gcd(g, wt)
-        if g == 1:
-            point = c.points(lam)[low]
-            result = (point.value, point)
-            c._cache["minmax_int"] = result
-            return result
-    raise InternalInconsistencyError("no prefix generates the global class")
+    _, H, R, _ = _reduce_degree(c.columns(lam), INTEGERS)
+    cycles = {j: H[j] for j, col in enumerate(R) if not col}  # H[j] ends at j
+    Y = []
+    for p, terms in zip(c.points(lam + 1), c.columns(lam + 1)):
+        rest, y = dict(terms), {}
+        while rest:
+            t = max(rest)
+            h = cycles.get(t)
+            if h is None or rest[t] % h[t]:
+                raise InternalInconsistencyError(
+                    f"boundary of {p.name} (degree {lam + 1}) outside the cycle lattice")
+            y[t] = rest[t] // h[t]
+            sparse_subtract(rest, y[t], h.items())
+        Y.append(y)
+    pairs, _, RY, _ = _reduce_degree(Y, INTEGERS)
+    if len(pairs) != len(cycles) - 1:
+        raise InternalInconsistencyError(
+            f"cycle/boundary presentation has rank {len(cycles) - len(pairs)}, not one")
+    units = {m for j, m in pairs.items() if RY[j][m] in (1, -1)}
+    point = c.points(lam)[max(cycles.keys() - units)]
+    result = (point.value, point)
+    c._cache["minmax_int"] = result
+    return result
 
 
 def maxmin_int(c: FilteredComplex) -> Selected:

@@ -2,6 +2,18 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
+small_matrices = st.integers(0, 6).flatmap(
+    lambda m: st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        )
+    )
+)
+
 
 def det(M):
     """Exact determinant via fraction Gaussian elimination."""

@@ -4,23 +4,31 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from morseminmax import barannikov
 from morseminmax.barannikov import (
     Certified,
     Obstructed,
+    _reduce_degree,
     _verify_normal_form,
     betti,
     reduce,
     reduce_integer,
 )
-from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS
+from morseminmax.coeff import (
+    Coefficients,
+    INTEGERS,
+    RATIONALS,
+    invariant_factors,
+    sparse_columns,
+)
 from morseminmax.complexes import change_basis, parse_complex, restrict, serialize, validate
 from morseminmax.errors import InternalInconsistencyError
 from morseminmax.gen import paper_fixture, random_admissible_complex, single_point
 from morseminmax.selector import minmax_field
 
-from helpers import mat_mul
+from helpers import mat_mul, rank_fraction, small_matrices
 
 F2 = Coefficients.prime_field(2)
 F3 = Coefficients.prime_field(3)
@@ -253,9 +261,9 @@ def test_reduce_runs_once_per_complex_and_field(monkeypatch):
     calls = Counter()
     real = barannikov._reduce_degree
 
-    def counting(c, k, coeff):
+    def counting(columns, coeff):
         calls[coeff.token()] += 1
-        return real(c, k, coeff)
+        return real(columns, coeff)
 
     monkeypatch.setattr(barannikov, "_reduce_degree", counting)
     c = random_admissible_complex(5, max_points=20)
@@ -271,3 +279,39 @@ def test_reduce_runs_once_per_complex_and_field(monkeypatch):
     assert reduce(c, F5).coeff == F5
     # the parsed copy is a second complex, validated on parsing
     assert calls == {"z": 2 * n, "f3": 2 * n, "f5": n}
+
+
+def integer_kernel(A, n):
+    """Dead columns of the integer reduction of A, as dense vectors keyed by
+    their slot, and the first non-unit pivot."""
+    _, C, R, first = _reduce_degree(sparse_columns(A, n), INTEGERS)
+    return {j: [C[j].get(i, 0) for i in range(n)] for j in range(n) if not R[j]}, first
+
+
+def test_integer_kernel_from_dead_columns():
+    # x - 2y - z = 0 has a rank-2 kernel lattice
+    basis, first = integer_kernel([[1, -2, -1]], 3)
+    assert len(basis) == 2 and first is None
+    for vec in basis.values():
+        assert vec[0] - 2 * vec[1] - vec[2] == 0
+    assert integer_kernel([], 3) == ({0: [1, 0, 0], 1: [0, 1, 0], 2: [0, 0, 1]}, None)
+    assert integer_kernel([[1, 0], [0, 1]], 2) == ({}, None)
+    # Euclid's step: 1 = 1 - 0 * 2 takes the row over from the pivot 2, and
+    # the old column 0 then dies as 1 * e0 - 2 * e1 in slot 1
+    assert integer_kernel([[2, 1]], 2) == ({1: [1, -2]}, (0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_dead_columns_are_an_echelon_kernel_basis(A):
+    n = len(A[0]) if A else 0
+    basis, _ = integer_kernel(A, n)
+    for j, vec in basis.items():
+        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in A)
+        assert max(i for i, v in enumerate(vec) if v) == j
+    for s in range(n + 1):
+        prefix = [vec for j, vec in basis.items() if j < s]
+        assert len(prefix) == s - rank_fraction([row[:s] for row in A])
+        # saturated: the prefix vectors span every integer cycle of the
+        # first s columns, not a finite-index sublattice of them
+        assert set(invariant_factors(prefix, ncols=n)) <= {1}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from morseminmax.barannikov import reduce, reduce_integer
-from morseminmax.coeff import Coefficients, RATIONALS
+from morseminmax.coeff import INTEGERS, Coefficients, RATIONALS
 from morseminmax.complexes import (
     change_basis,
     negate,
@@ -20,6 +20,7 @@ from morseminmax.complexes import (
 )
 from morseminmax.gen import paper_fixture
 from morseminmax.oracle import homology
+from morseminmax.selector import selector_report
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "morseminmax"
@@ -45,9 +46,11 @@ def test_dense_view_stays_off_the_fast_path(make):
     c = make()
     values = sorted(p.value for p in c.all_points())
     assert validate(c).admissible
-    for field in (Coefficients.prime_field(2), RATIONALS):
+    F2 = Coefficients.prime_field(2)
+    for field in (F2, RATIONALS):
         reduce(c, field)
     reduce_integer(c)
+    selector_report(c, [INTEGERS, F2, RATIONALS])
     made = [parse_complex(serialize(c)), negate(c),
             restrict(c, values[0] - 1, values[-2] + (values[-1] - values[-2]) / 2),
             change_basis(c, {2: shifted_transform(c, 2)})]

@@ -7,7 +7,6 @@ from morseminmax.coeff import (
     Coefficients,
     INTEGERS,
     RATIONALS,
-    integer_kernel_basis,
     invariant_factors,
     is_prime,
     rank_over,
@@ -16,18 +15,7 @@ from morseminmax.coeff import (
     sparse_subtract,
 )
 
-from helpers import det, mat_mul, rank_fraction
-
-
-small_matrices = st.integers(0, 6).flatmap(
-    lambda m: st.integers(0, 6).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-            min_size=m,
-            max_size=m,
-        )
-    )
-)
+from helpers import det, mat_mul, small_matrices
 
 
 def check_snf(A, ncols=None):
@@ -144,35 +132,6 @@ def test_rank_over_examples():
 def test_rank_specialization_drops(A, p):
     # mapping into F_p can only collapse columns, never create new independence
     assert rank_over(A, RATIONALS) >= rank_over(A, Coefficients.prime_field(p))
-
-
-def test_integer_kernel_basis():
-    # x - 2y - z = 0 has a rank-2 kernel lattice
-    basis = integer_kernel_basis([[1, -2, -1]])
-    assert len(basis) == 2
-    for vec in basis:
-        assert vec[0] - 2 * vec[1] - vec[2] == 0
-    # the lattice is saturated: some integer combination hits gcd 1 coordinates
-    assert integer_kernel_basis([], ncols=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert integer_kernel_basis([[1, 0], [0, 1]]) == []
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_matrices)
-def test_integer_kernel_basis_is_echelon(A):
-    n = len(A[0]) if A else 0
-    basis = integer_kernel_basis(A, ncols=n)
-    for vec in basis:
-        assert len(vec) == n
-        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in A)
-    lows = [max(i for i, v in enumerate(vec) if v) for vec in basis]
-    assert all(a < b for a, b in zip(lows, lows[1:]))
-    for s in range(n + 1):
-        prefix = [vec for vec, low in zip(basis, lows) if low < s]
-        assert len(prefix) == s - rank_fraction([row[:s] for row in A])
-        # saturated: the prefix vectors span every integer cycle of the
-        # first s columns, not a finite-index sublattice of them
-        assert set(invariant_factors(prefix, ncols=n)) <= {1}
 
 
 def test_coefficients_tokens():

@@ -1,5 +1,6 @@
 """The column reduction works on sparse columns, so its memory grows with the
 nonzero entries of the boundary and not with the square of the point count.
+The integer selectors run the same reduction and must scale the same way.
 
 The inputs are the benchmark's sparse handle-slide complexes
 (``bench/slides.py``), whose entries stay a few bits wide as they grow.
@@ -14,6 +15,7 @@ import pytest
 from morseminmax.barannikov import Certified, reduce, reduce_integer
 from morseminmax.coeff import Coefficients, RATIONALS
 from morseminmax.complexes import parse_complex
+from morseminmax.selector import maxmin_int, minmax_int
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -38,10 +40,16 @@ def _certify(c):
     assert isinstance(reduce_integer(c), Certified)
 
 
+def _select(c):
+    minmax_int(c)
+    maxmin_int(c)
+
+
 @pytest.mark.parametrize("run", [
     pytest.param(lambda c: reduce(c, F2), id="f2"),
     pytest.param(lambda c: reduce(c, RATIONALS), id="q"),
     pytest.param(_certify, id="z"),
+    pytest.param(_select, id="selector"),
 ])
 def test_reduce_memory_grows_with_nonzeros(run):
     small, large = (_peak_bytes(slid_complex(0, q).text, run) for q in (250, 500))

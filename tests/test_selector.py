@@ -4,10 +4,11 @@ from math import gcd
 
 import pytest
 
-from morseminmax.barannikov import Obstructed, reduce_integer
+from morseminmax import selector
+from morseminmax.barannikov import Obstructed, _reduce_degree, reduce_integer
 from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS
-from morseminmax.complexes import FilteredComplex, negate, validate
-from morseminmax.errors import NotAdmissibleError
+from morseminmax.complexes import FilteredComplex, change_basis, negate, validate
+from morseminmax.errors import InternalInconsistencyError, NotAdmissibleError
 from morseminmax.gen import (
     paper_fixture,
     perturb_values,
@@ -112,6 +113,25 @@ def test_not_admissible_propagates():
         maxmin_int(torsion)
 
 
+def test_int_selector_refuses_a_broken_presentation(monkeypatch):
+    # d∘d != 0: the boundary of t is b, which is not a cycle
+    broken = FilteredComplex.build(
+        2, [("a", 0, 0), ("b", 1, 1), ("t", 2, 2)], {"b": {"a": 1}, "t": {"b": 1}})
+    with pytest.raises(InternalInconsistencyError, match="outside the cycle lattice"):
+        selector._minmax_int_at(broken, 1)
+    # two free cycles and no boundaries: the presentation has rank two
+    two = FilteredComplex.build(2, [("a", 1, 0), ("b", 1, 1)], {})
+    with pytest.raises(InternalInconsistencyError, match="rank 2, not one"):
+        selector._minmax_int_at(two, 1)
+    # torsion is refused by the global index before any scan runs
+    torsion = FilteredComplex.build(
+        2, [("a", 0, 0), ("b", 1, 1), ("t", 2, 2)], {"t": {"b": 2}})
+    monkeypatch.setattr(selector, "_reduce_degree", None)
+    for select in (minmax_int, maxmin_int):
+        with pytest.raises(NotAdmissibleError, match="torsion"):
+            select(torsion)
+
+
 def test_maxmin_takes_negated_index_from_the_complex():
     # the negated complex has the anti-transposed matrices, with the same
     # ranks and invariant factors: its homology is never recomputed
@@ -208,15 +228,20 @@ def test_stability_under_perturbation(laudenbach):
         assert abs(minmax_field(moved, field)[0] - minmax_field(laudenbach, field)[0]) <= eps
 
 
-def test_split_complex_with_characteristic_three():
-    # same shape as the laudenbach complex but with 3 in place of 2: the
-    # integer selectors split and F3 is now the odd characteristic out.
-    # Hand reduction: over Q (and F2) the free point is c; over F3 it is d.
-    c = FilteredComplex.build(
+def _characteristic_three():
+    """The laudenbach complex with 3 in place of 2."""
+    return FilteredComplex.build(
         4,
         [("a", 1, 0), ("b", 2, 1), ("c", 2, 2), ("d", 2, 3), ("e", 3, 4)],
         {"b": {"a": 1}, "c": {"a": -3}, "d": {"a": -1}, "e": {"c": 1, "d": -3}},
     )
+
+
+def test_split_complex_with_characteristic_three():
+    # same shape as the laudenbach complex but with 3 in place of 2: the
+    # integer selectors split and F3 is now the odd characteristic out.
+    # Hand reduction: over Q (and F2) the free point is c; over F3 it is d.
+    c = _characteristic_three()
     assert minmax_int(c) == (3, c.point("d"))
     assert maxmin_int(c) == (2, c.point("c"))
     assert minmax_field(c, F3) == (3, c.point("d"))
@@ -328,6 +353,41 @@ def test_int_selectors_on_obstructed_family():
         for field in (F2, F3, RATIONALS):
             assert sm_v <= minmax_field(c, field)[0] <= mm_v
     assert witnesses == OBSTRUCTED_WITNESSES
+
+
+def _conjugated(c, rng):
+    """c under a random value-order triangular basis change with +-1 diagonal."""
+    transforms = {}
+    for k in c.degrees():
+        n = len(c.points(k))
+        transforms[k] = [[rng.choice((1, -1)) if i == j else
+                          rng.randint(-3, 3) if i < j and rng.random() < 0.5 else 0
+                          for j in range(n)] for i in range(n)]
+    return change_basis(c, transforms)
+
+
+def test_int_selectors_invariant_under_conjugation(laudenbach, monkeypatch):
+    # non-unit pivots make the integer reductions take Euclid's step, and
+    # conjugation makes them meet remainders; the selectors must not move
+    swapped = 0
+
+    def counting(columns, coeff):
+        nonlocal swapped
+        pairs, C, R, first = _reduce_degree(columns, coeff)
+        # a remainder leaves in slot t a vector reaching past index t
+        swapped += any(max(C[t]) != t for t in pairs)
+        return pairs, C, R, first
+
+    monkeypatch.setattr(selector, "_reduce_degree", counting)
+    rng = random.Random(2011)
+    cases = [(laudenbach, 60), (_characteristic_three(), 60)]
+    cases += [(_family_complex(seed), 4) for seed in OBSTRUCTED_WITNESSES]
+    for c, trials in cases:
+        expected = [(v, p.name) for v, p in (minmax_int(c), maxmin_int(c))]
+        for _ in range(trials):
+            moved = _conjugated(c, rng)
+            assert [(v, p.name) for v, p in (minmax_int(moved), maxmin_int(moved))] == expected
+    assert swapped >= 100
 
 
 def test_capitanio_criterion(vprime):
