@@ -24,8 +24,8 @@ boundary operator to normal form. Over Z a unit pivot is scaled like any
 other, a non-unit pivot is left as it is, and the reduction reports the
 first one. A column that meets a non-unit pivot takes Euclid's step (floor
 division, and a remainder takes the row over), so the reduction finishes
-and its zeroed columns are an echelon basis of the integer cycles, which
-``selector`` reads the integer minmax off.
+and its zeroed columns are an echelon basis of the integer cycles. It is
+memoized per degree, and homology and the integer selectors read it too.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .coeff import INTEGERS, Coefficients, sparse_product_columns, sparse_subtract
+from .coeff import (INTEGERS, Coefficients, back_substitute, invariant_factors,
+                    sparse_product_columns, sparse_subtract)
 from .complexes import CriticalPoint, FilteredComplex
 from .errors import InternalInconsistencyError
 
@@ -105,6 +106,30 @@ def _reduce_degree(columns, coeff: Coefficients):
     return pairs, C, R, first
 
 
+def _integer_reduction(c: FilteredComplex, k: int):
+    """``_reduce_degree`` of the degree-k boundary over Z, memoized per
+    complex and degree. Its readers share it, so none may modify it."""
+    key = ("reduce", INTEGERS.token(), k)
+    if key not in c._cache:
+        c._cache[key] = _reduce_degree(c.columns(k), INTEGERS)
+    return c._cache[key]
+
+
+def _invariant_factors(reduction) -> tuple[int, ...]:
+    """Nonzero invariant factors of D, ascending, from its reduction R = D C
+    by :func:`_reduce_degree` over Z: a 1 per +-1 pivot, then the Smith form
+    of the residue (Schur complement) the other pivot columns leave once
+    back-substitution clears the +-1 pivot rows."""
+    pairs, _, R, _ = reduction
+    units = {m: R[j] for j, m in pairs.items() if R[j][m] in (1, -1)}
+    residue = [dict(R[j]) for j, m in pairs.items() if m not in units]  # R is shared
+    for col in residue:
+        back_substitute(col, units)
+    rows = sorted(set().union(*residue))
+    rest = invariant_factors([[col.get(i, 0) for col in residue] for i in rows]) if rows else ()
+    return (1,) * len(units) + rest
+
+
 @dataclass
 class CanonicalForm:
     """The canonical pairing plus the basis change realizing the normal form.
@@ -161,7 +186,7 @@ IntegerReductionOutcome = Union[Certified, Obstructed]
 def _assemble(c: FilteredComplex, per_degree, coeff) -> CanonicalForm:
     """P_k = C_k except that a pivot row m of D_k takes the reduced column
     R_j (pivot 1) of its partner j, and B_k holds a 1 at (m, j)."""
-    Pcols = {k: C for k, (_, C, _) in per_degree.items()}
+    Pcols = {k: list(C) for k, (_, C, _) in per_degree.items()}  # C may be memoized
     Bcols = {k: [()] * len(c.points(k)) for k in per_degree}
     partner = {}  # upper point name -> (upper, lower)
     for k, (pairs, _C, R) in per_degree.items():
@@ -241,7 +266,7 @@ def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
         return cached
     per_degree = {}
     for k in c.degrees():
-        pairs, C, R, first = _reduce_degree(c.columns(k), INTEGERS)
+        pairs, C, R, first = _integer_reduction(c, k)
         if first is not None:
             outcome = Obstructed(column=c.points(k)[first[0]], pivot=first[1])
             break

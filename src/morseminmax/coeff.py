@@ -155,6 +155,24 @@ def sparse_subtract(col: dict, q, other, p: int | None = None) -> None:
             col.pop(i, None)
 
 
+def back_substitute(col: dict, basis) -> dict:
+    """Reduce the integer column ``col`` in place against ``basis``, which maps
+    a row r to a sparse column whose largest row is r, largest row first:
+    ``col -= q * basis[r]`` with ``q = col[r] // basis[r][r]``. Returns the
+    nonzero quotients ``{r: q}``; ``col`` keeps the remainder."""
+    coeffs, kept = {}, {}
+    while col:
+        r = max(col)
+        b = basis.get(r)
+        if b and (q := col[r] // b[r]):
+            coeffs[r] = q
+            sparse_subtract(col, q, b.items())
+        if r in col:  # later steps touch only rows below r
+            kept[r] = col.pop(r)
+    col.update(kept)
+    return coeffs
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Unimodular factorization A = U @ S @ V with S diagonal, d1 | d2 | ...

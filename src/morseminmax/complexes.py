@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .coeff import (RATIONALS, invariant_factors, sparse_columns, sparse_product_columns,
-                    sparse_subtract)
+from .coeff import back_substitute, sparse_columns, sparse_product_columns
 from .errors import (
     EndpointCriticalError,
     InternalInconsistencyError,
@@ -358,26 +357,22 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
 def _homology_data(c: FilteredComplex):
     """Per-degree rational ranks and integer torsion divisors, memoized.
 
-    A unit-pivot integer certificate brings every boundary matrix to a 0/1
-    matching by a +-1-diagonal triangular basis change, so every Smith form
-    is all ones: there is no torsion and the rank in degree k is the number
-    of free degree-k points. Only an obstructed complex takes the ranks from
-    the rational reduction and the torsion from Smith forms.
+    Both come from the memoized integer reduction of each degree: the rank
+    of D_k is its pivot count, and the torsion in degree k is the invariant
+    factors above 1 of D_{k+1}. Only the small residue of its non-unit
+    pivots takes a Smith form, so a certified complex takes none; its
+    normal form is still verified, since ``reduce_integer`` runs first.
     """
     cached = c._cache.get("homology_data")
     if cached is not None:
         return cached
     # barannikov imports this module, so the reductions are imported here
-    from .barannikov import Certified, reduce, reduce_integer
-    outcome = reduce_integer(c)
-    certified = isinstance(outcome, Certified)
-    form = outcome.form if certified else reduce(c, RATIONALS)
-    ranks = {k: len(form.free_of_degree(k)) for k in c.degrees()}
-    torsion = {k: () for k in c.degrees()}
-    for k in c.degrees():
-        if not certified and c.points(k + 1):
-            up = [list(r) for r in c.matrix(k + 1)]
-            torsion[k] = tuple(d for d in invariant_factors(up) if d > 1)
+    from .barannikov import _integer_reduction, _invariant_factors, reduce_integer
+    reduce_integer(c)
+    factors = {k: _invariant_factors(_integer_reduction(c, k)) for k in c.degrees()}
+    ranks = {k: len(c.points(k)) - len(f) - len(factors.get(k + 1, ()))
+             for k, f in factors.items()}
+    torsion = {k: tuple(d for d in factors.get(k + 1, ()) if d > 1) for k in c.degrees()}
     data = (ranks, torsion)
     c._cache["homology_data"] = data
     return data
@@ -555,9 +550,9 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
         if not c.points(k):
             raise ValueError(f"transform given for empty degree {k}")
 
-    def P_of(k):
-        return mats.get(k) or [[1 if i == j else 0 for j in range(len(c.points(k)))]
-                               for i in range(len(c.points(k)))]
+    def P_cols(k):  # sparse columns of P_k, the identity where no transform is given
+        n = len(c.points(k))
+        return sparse_columns(mats[k], n) if k in mats else [[(j, 1)] for j in range(n)]
 
     # D_k P_k column by column, then back-substitution against P_{k-1},
     # whose +-1 diagonal keeps every quotient an exact integer
@@ -567,21 +562,16 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
         upper = c.points(k)
         if not lower or not upper:
             continue
-        Plow = P_of(k - 1)
-        Plow_cols = sparse_columns(Plow, len(lower))
-        right = sparse_product_columns(c.columns(k), sparse_columns(P_of(k), len(upper)))
+        Plow = {row: dict(terms) for row, terms in enumerate(P_cols(k - 1))}
+        right = sparse_product_columns(c.columns(k), P_cols(k))
         for col, (p, rest) in enumerate(zip(upper, right)):
-            chain = {}
-            while rest:
+            chain = back_substitute(rest, Plow)
+            if rest:
                 row = max(rest)
-                q, rem = divmod(rest[row], Plow[row][row])
-                if rem:
-                    raise InternalInconsistencyError(
-                        f"degree {k} basis change leaves remainder {rem} "
-                        f"at row {row} ({lower[row].name}), column {col} ({p.name})")
-                chain[lower[row].name] = q
-                sparse_subtract(rest, q, Plow_cols[row])
+                raise InternalInconsistencyError(
+                    f"degree {k} basis change leaves remainder {rest[row]} "
+                    f"at row {row} ({lower[row].name}), column {col} ({p.name})")
             if chain:
-                boundaries[p.name] = chain
+                boundaries[p.name] = {lower[row].name: q for row, q in chain.items()}
     points = [(p.name, p.degree, p.value) for k in c.degrees() for p in c.points(k)]
     return FilteredComplex.build(c.ambient_dim, points, boundaries)

@@ -7,8 +7,11 @@ order. Homology ranks come from whole matrices, the pairing from the ranks
 of the lower-left blocks ``D_k[m:, :j]`` (the pairing lemma of
 Cohen-Steiner, Edelsbrunner and Morozov 2006), and the minmax from the
 ranks of H_k of prefixes, which are sums of such ranks. Over Z, homology,
-torsion and the global index come from Smith forms. Agreement with the
-fast paths is meaningful evidence; speed is a non-goal.
+torsion and the global index come from Smith forms of whole boundary
+matrices, where the fast path takes a Smith form only of the small residue
+its integer reduction leaves. Within the package only this module reads
+the dense view ``c.matrix``. Agreement with the fast paths is meaningful
+evidence; speed is a non-goal.
 """
 
 from __future__ import annotations

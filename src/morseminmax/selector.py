@@ -3,10 +3,10 @@
 Over a field the two selectors agree and sit at the unique free critical
 point of the global-index degree. Over the integers the minmax is the first
 filtration level whose prefix carries an integer cycle generating the global
-rank-one homology. It is read off two integer column reductions, the same
-``barannikov._reduce_degree`` that certifies complexes: one of the boundary
-into the global degree, whose zeroed columns are an echelon cycle basis, and
-one of the boundaries out of it written in that basis. The maxmin is always
+rank-one homology. It is read off two integer column reductions: the
+memoized one of the boundary into the global degree that certifies the
+complex, whose zeroed columns are an echelon cycle basis, and one of the
+boundaries out of it written in that basis. The maxmin is always
 evaluated through the negated complex, so minmax and maxmin can genuinely
 differ over the integers.
 """
@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .barannikov import _reduce_degree, reduce as _reduce
-from .coeff import INTEGERS, Coefficients, sparse_subtract
+from .barannikov import _integer_reduction, _reduce_degree, reduce as _reduce
+from .coeff import INTEGERS, Coefficients, back_substitute
 from .complexes import CriticalPoint, FilteredComplex, global_index, negate
 from .errors import InternalInconsistencyError
 
@@ -86,20 +86,15 @@ def _minmax_int_at(c: FilteredComplex, lam: int) -> Selected:
     cached = c._cache.get("minmax_int")
     if cached is not None:
         return cached
-    _, H, R, _ = _reduce_degree(c.columns(lam), INTEGERS)
+    _, H, R, _ = _integer_reduction(c, lam)
     cycles = {j: H[j] for j, col in enumerate(R) if not col}  # H[j] ends at j
     Y = []
     for p, terms in zip(c.points(lam + 1), c.columns(lam + 1)):
-        rest, y = dict(terms), {}
-        while rest:
-            t = max(rest)
-            h = cycles.get(t)
-            if h is None or rest[t] % h[t]:
-                raise InternalInconsistencyError(
-                    f"boundary of {p.name} (degree {lam + 1}) outside the cycle lattice")
-            y[t] = rest[t] // h[t]
-            sparse_subtract(rest, y[t], h.items())
-        Y.append(y)
+        rest = dict(terms)
+        Y.append(back_substitute(rest, cycles))
+        if rest:
+            raise InternalInconsistencyError(
+                f"boundary of {p.name} (degree {lam + 1}) outside the cycle lattice")
     pairs, _, RY, _ = _reduce_degree(Y, INTEGERS)
     if len(pairs) != len(cycles) - 1:
         raise InternalInconsistencyError(

@@ -1,8 +1,12 @@
 """Shared test oracles, deliberately independent of the library internals."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
+
+from morseminmax.complexes import FilteredComplex
+from morseminmax.gen import paper_fixture
 
 small_matrices = st.integers(0, 6).flatmap(
     lambda m: st.integers(0, 6).flatmap(
@@ -80,3 +84,53 @@ def inverse_conjugate(Plow, D, P):
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     inverse = [row[n:] for row in aug]
     return mat_mul(mat_mul(inverse, D), P)
+
+
+def hidden_laudenbach(pairs, seed=0):
+    """The ``laudenbach`` fixture plus ``pairs`` cancelling pairs, hidden by
+    +-1 handle slides: an admissible, integer-obstructed complex of
+    5 + 2 * pairs points in ambient dimension 4.
+
+    A pair is a point of degree 1 or 2 and a point one degree up and higher
+    in value whose boundary is it. A slide in degree k, with point i below
+    point j in value and a = +-1, is the basis change e_j -> e_j + a * e_i:
+    the boundary of j gains a times that of i, and every boundary that hits
+    j hits i by -a times as much. Slides and acyclic summands move neither
+    integer selector, so the minmax stays at xi3_n and the maxmin at xi2_n.
+    """
+    rng = random.Random(f"hidden_laudenbach/{seed}/{pairs}")
+    total = 5 + 2 * pairs
+    values = rng.sample(range(total), total)
+    lau = paper_fixture("laudenbach")
+    degree, value, bnd = {}, {}, {}
+    for p, v in zip(lau.all_points(), sorted(values[:5])):
+        degree[p.name], value[p.name] = p.degree, v
+        bnd[p.name] = {q.name: x for x, q in lau.boundary_chain(p.name)}
+    for i in range(pairs):
+        k = rng.choice((1, 2))
+        lo, hi = sorted(values[5 + 2 * i:7 + 2 * i])
+        degree[f"l{i}"], value[f"l{i}"], bnd[f"l{i}"] = k, lo, {}
+        degree[f"u{i}"], value[f"u{i}"], bnd[f"u{i}"] = k + 1, hi, {f"l{i}": 1}
+    by_degree = {}
+    for name in sorted(value, key=value.get):
+        by_degree.setdefault(degree[name], []).append(name)
+    slid = [k for k, names in by_degree.items() if len(names) >= 2]
+    for _ in range(2 * total):
+        k = rng.choice(slid)
+        i, j = sorted(rng.sample(by_degree[k], 2), key=value.get)
+        a = rng.choice((1, -1))
+        _add(bnd[j], a, bnd[i])
+        for name in by_degree.get(k + 1, ()):
+            if j in bnd[name]:
+                _add(bnd[name], -a, {i: bnd[name][j]})
+    return FilteredComplex.build(4, [(n, degree[n], value[n]) for n in value], bnd)
+
+
+def _add(target, a, source):
+    """target += a * source on sparse ``{name: coeff}`` chains."""
+    for name, v in source.items():
+        w = target.get(name, 0) + a * v
+        if w:
+            target[name] = w
+        else:
+            target.pop(name, None)

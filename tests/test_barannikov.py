@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from morseminmax import barannikov
+from morseminmax import barannikov, selector
 from morseminmax.barannikov import (
     Certified,
     Obstructed,
+    _invariant_factors,
     _reduce_degree,
     _verify_normal_form,
     betti,
@@ -23,12 +24,13 @@ from morseminmax.coeff import (
     invariant_factors,
     sparse_columns,
 )
-from morseminmax.complexes import change_basis, parse_complex, restrict, serialize, validate
+from morseminmax.complexes import (change_basis, global_index, negate, parse_complex,
+                                   restrict, serialize, validate)
 from morseminmax.errors import InternalInconsistencyError
 from morseminmax.gen import paper_fixture, random_admissible_complex, single_point
-from morseminmax.selector import minmax_field
+from morseminmax.selector import minmax_field, minmax_int, selector_report
 
-from helpers import mat_mul, rank_fraction, small_matrices
+from helpers import hidden_laudenbach, mat_mul, rank_fraction, small_matrices
 
 F2 = Coefficients.prime_field(2)
 F3 = Coefficients.prime_field(3)
@@ -281,6 +283,40 @@ def test_reduce_runs_once_per_complex_and_field(monkeypatch):
     assert calls == {"z": 2 * n, "f3": 2 * n, "f5": n}
 
 
+@pytest.mark.parametrize("make", [lambda: random_admissible_complex(5, max_points=40),
+                                  lambda: hidden_laudenbach(20)],
+                         ids=["certified", "obstructed"])
+def test_each_integer_boundary_reduction_runs_once(monkeypatch, make):
+    # certification, homology and the integer selectors share one memoized
+    # Z reduction per complex and degree; a stored boundary is a tuple, the
+    # selector's presentation in the cycle basis is a list
+    boundaries, presentations = Counter(), []
+    real = barannikov._reduce_degree
+
+    def counting(columns, coeff):
+        if coeff.is_integers:
+            if isinstance(columns, tuple):
+                boundaries[id(columns)] += 1
+            else:
+                presentations.append(columns)
+        return real(columns, coeff)
+
+    monkeypatch.setattr(barannikov, "_reduce_degree", counting)
+    monkeypatch.setattr(selector, "_reduce_degree", counting)
+    c = make()
+    assert validate(c).admissible
+    global_index(c)
+    reduce_integer(c)
+    selector_report(c, [INTEGERS, F3])
+    # every degree of c, and the global degree of negate(c) for the maxmin
+    assert list(boundaries.values()) == [1] * (len(c.degrees()) + 1)
+    assert len(presentations) == 2
+    # validating negate(c) reduces its other degrees, and nothing twice
+    minmax_int(negate(c))
+    assert list(boundaries.values()) == [1] * (len(c.degrees()) + len(negate(c).degrees()))
+    assert len(presentations) == 2
+
+
 def integer_kernel(A, n):
     """Dead columns of the integer reduction of A, as dense vectors keyed by
     their slot, and the first non-unit pivot."""
@@ -315,3 +351,22 @@ def test_dead_columns_are_an_echelon_kernel_basis(A):
         # saturated: the prefix vectors span every integer cycle of the
         # first s columns, not a finite-index sublattice of them
         assert set(invariant_factors(prefix, ncols=n)) <= {1}
+    # the +-1 pivots and the residue's Smith form give every invariant factor
+    reduction = _reduce_degree(sparse_columns(A, n), INTEGERS)
+    assert _invariant_factors(reduction) == invariant_factors(A, ncols=n)
+
+
+def test_invariant_factors_of_a_residue():
+    # Smith form (2, 4). No pivot divides another entry of its row or
+    # column, so reducing this matrix and its transpose in turn leaves it
+    # unchanged both times and never reaches a diagonal: the residue takes
+    # a Smith form instead
+    A = [[2, 2], [-4, 0]]
+    reduction = _reduce_degree(sparse_columns(A, 2), INTEGERS)
+    transposed = _reduce_degree(sparse_columns(list(zip(*A)), 2), INTEGERS)
+    assert (reduction[2], transposed[2]) == ([{0: 2, 1: -4}, {0: 2}], [{0: 2, 1: 2}, {0: -4}])
+    assert _invariant_factors(reduction) == invariant_factors(A) == (2, 4)
+    # +-1 pivots give factors of 1 and leave the rest to the residue
+    B = [[1, 3, 0], [0, 2, 1], [0, 0, 6]]
+    reduction = _reduce_degree(sparse_columns(B, 3), INTEGERS)
+    assert _invariant_factors(reduction) == invariant_factors(B) == (1, 1, 12)

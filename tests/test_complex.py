@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morseminmax import coeff, complexes
-from morseminmax.barannikov import Certified, _reduce_degree, reduce_integer
+from morseminmax.barannikov import Certified, Obstructed, _reduce_degree, reduce_integer
 from morseminmax.coeff import INTEGERS, RATIONALS, sparse_columns
 from morseminmax.complexes import (
     FilteredComplex,
@@ -36,7 +36,7 @@ from morseminmax.gen import (
 from morseminmax.oracle import HomologySummary, homology
 from morseminmax.selector import maxmin_field, minmax_int
 
-from helpers import inverse_conjugate, mat_mul, rank_fraction
+from helpers import hidden_laudenbach, inverse_conjugate, mat_mul, rank_fraction
 
 
 @pytest.fixture
@@ -355,28 +355,34 @@ def test_homology_data_matches_oracle():
 
 
 def test_validate_needs_no_smith_form_or_echelon_when_certified(monkeypatch):
-    calls = Counter()
+    # a record of the shapes validate hands to smith_normal_form: none on a
+    # certified complex, and on an obstructed one only the small residue of
+    # its non-unit pivots, however large the complex
+    shapes, echelons = [], []
+    smith, echelon = coeff.smith_normal_form, coeff._echelon
 
-    def counting(name):
-        real = getattr(coeff, name)
+    def recording(A, *, ncols=None):
+        shapes.append((len(A), len(A[0]) if A else ncols))
+        return smith(A, ncols=ncols)
 
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(coeff, name, wrapped)
+    def counting(rows, field):
+        echelons.append(len(rows))
+        return echelon(rows, field)
 
-    counting("smith_normal_form")
-    counting("_echelon")
+    monkeypatch.setattr(coeff, "smith_normal_form", recording)
+    monkeypatch.setattr(coeff, "_echelon", counting)
     certified = [paper_fixture("f0")]
     certified += [random_admissible_complex(seed, max_points=30) for seed in range(20)]
     for c in certified:
         assert validate(c).admissible
         assert isinstance(reduce_integer(c), Certified)
-    assert calls == {}
-    lau = paper_fixture("laudenbach")
-    assert validate(lau).admissible
-    assert not isinstance(reduce_integer(lau), Certified)
-    assert calls["smith_normal_form"] and not calls["_echelon"]
+    assert shapes == []
+    for c in (paper_fixture("laudenbach"), hidden_laudenbach(200)):
+        shapes.clear()
+        assert validate(c).admissible
+        assert isinstance(reduce_integer(c), Obstructed)
+        assert shapes and all(rows <= 3 and cols == 1 for rows, cols in shapes), shapes
+    assert echelons == []
 
 
 # -- negate -------------------------------------------------------------------

@@ -26,9 +26,13 @@ FORBIDDEN = {
     "integer_kernel_basis",
     "sparse_columns",
     "sparse_product_columns",
+    "back_substitute",
 }
 
-REFERENCE = {"rank_over", "_echelon"}
+# the fast path reaches Smith code only through invariant_factors, on the
+# residue of an integer reduction
+REFERENCE = {"rank_over", "_echelon", "smith_normal_form", "SmithDecomposition",
+             "identity_matrix"}
 
 
 def imported_names(source: str) -> set[str]:

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from morseminmax import selector
-from morseminmax.barannikov import Obstructed, _reduce_degree, reduce_integer
+from morseminmax.barannikov import Obstructed, reduce_integer
 from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS
 from morseminmax.complexes import FilteredComplex, change_basis, negate, validate
 from morseminmax.errors import InternalInconsistencyError, NotAdmissibleError
@@ -371,14 +371,19 @@ def test_int_selectors_invariant_under_conjugation(laudenbach, monkeypatch):
     # conjugation makes them meet remainders; the selectors must not move
     swapped = 0
 
-    def counting(columns, coeff):
-        nonlocal swapped
-        pairs, C, R, first = _reduce_degree(columns, coeff)
-        # a remainder leaves in slot t a vector reaching past index t
-        swapped += any(max(C[t]) != t for t in pairs)
-        return pairs, C, R, first
+    def counting(reduce):
+        def wrapped(*args):
+            nonlocal swapped
+            pairs, C, R, first = reduce(*args)
+            # a remainder leaves in slot t a vector reaching past index t
+            swapped += any(max(C[t]) != t for t in pairs)
+            return pairs, C, R, first
+        return wrapped
 
-    monkeypatch.setattr(selector, "_reduce_degree", counting)
+    # only the reductions the selector reads: the memoized one of the
+    # boundary into the global degree, and the one of its presentation
+    monkeypatch.setattr(selector, "_integer_reduction", counting(selector._integer_reduction))
+    monkeypatch.setattr(selector, "_reduce_degree", counting(selector._reduce_degree))
     rng = random.Random(2011)
     cases = [(laudenbach, 60), (_characteristic_three(), 60)]
     cases += [(_family_complex(seed), 4) for seed in OBSTRUCTED_WITNESSES]
