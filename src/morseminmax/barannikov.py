@@ -36,7 +36,7 @@ from typing import Union
 
 from .coeff import (INTEGERS, Coefficients, back_substitute, invariant_factors,
                     sparse_product_columns, sparse_subtract)
-from .complexes import CriticalPoint, FilteredComplex
+from .complexes import CriticalPoint, FilteredComplex, memoized
 from .errors import InternalInconsistencyError
 
 
@@ -106,13 +106,11 @@ def _reduce_degree(columns, coeff: Coefficients):
     return pairs, C, R, first
 
 
+@memoized
 def _integer_reduction(c: FilteredComplex, k: int):
     """``_reduce_degree`` of the degree-k boundary over Z, memoized per
     complex and degree. Its readers share it, so none may modify it."""
-    key = ("reduce", INTEGERS.token(), k)
-    if key not in c._cache:
-        c._cache[key] = _reduce_degree(c.columns(k), INTEGERS)
-    return c._cache[key]
+    return _reduce_degree(c.columns(k), INTEGERS)
 
 
 def _invariant_factors(reduction) -> tuple[int, ...]:
@@ -231,6 +229,7 @@ def _verify_normal_form(c: FilteredComplex, form: CanonicalForm) -> None:
                     f"column {j} ({upper[j].name})")
 
 
+@memoized
 def reduce(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
     """Barannikov canonical form of a valid complex over Q or a prime field.
 
@@ -241,16 +240,11 @@ def reduce(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
     """
     if field.is_integers:
         raise ValueError("use reduce_integer for integer coefficients")
-    key = ("reduce", field.token())
-    cached = c._cache.get(key)
-    if cached is not None:
-        return cached
     per_degree = {k: _reduce_degree(c.columns(k), field)[:3] for k in c.degrees()}
-    form = _assemble(c, per_degree, field)
-    c._cache[key] = form
-    return form
+    return _assemble(c, per_degree, field)
 
 
+@memoized
 def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
     """Greedy unit-pivot reduction over Z.
 
@@ -260,21 +254,13 @@ def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
     witness and claims nothing else. The outcome is memoized like
     :func:`reduce`.
     """
-    key = ("reduce", INTEGERS.token())
-    cached = c._cache.get(key)
-    if cached is not None:
-        return cached
     per_degree = {}
     for k in c.degrees():
         pairs, C, R, first = _integer_reduction(c, k)
         if first is not None:
-            outcome = Obstructed(column=c.points(k)[first[0]], pivot=first[1])
-            break
+            return Obstructed(column=c.points(k)[first[0]], pivot=first[1])
         per_degree[k] = pairs, C, R
-    else:
-        outcome = Certified(form=_assemble(c, per_degree, INTEGERS))
-    c._cache[key] = outcome
-    return outcome
+    return Certified(form=_assemble(c, per_degree, INTEGERS))
 
 
 def betti(c: FilteredComplex, field: Coefficients, k: int) -> int:

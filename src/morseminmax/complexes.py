@@ -9,10 +9,16 @@ ascending; this module is the only one that knows that storage, and the dense
 row-major matrix is a view derived from it on demand. Nonzero entries must
 point strictly downward in value, all critical values must be pairwise
 distinct, and consecutive boundary operators must compose to zero.
+
+Results computed from a complex are memoized on it by :func:`memoized`, the
+only code that touches the per-complex store. The contract: keys never
+collide across modules, a stored value is shared and must not be modified,
+and a call that raises stores nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +36,27 @@ from .errors import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_MISSING = object()
+
+
+def memoized(fn):
+    """Memoize ``fn(c, *args)`` on the complex ``c`` under the contract above.
+
+    The key is ``fn``'s module-qualified name, fixed when ``fn`` is
+    decorated, followed by the hashable ``args``. Two threads may compute
+    the same entry twice, never a wrong one.
+    """
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def wrapper(c, *args):
+        key = (name, *args)
+        value = c._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = c._cache[key] = fn(c, *args)
+        return value
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -156,17 +183,15 @@ class FilteredComplex:
         ascending. Empty for a degree with no points."""
         return self._columns.get(degree, ())
 
+    @memoized
     def matrix(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """Dense row-major view of :meth:`columns`, one row per degree
         ``degree - 1`` point; built on first use and memoized."""
-        key = ("matrix", degree)
-        if key not in self._cache:
-            rows = [[0] * len(self.points(degree)) for _ in self.points(degree - 1)]
-            for j, col in enumerate(self.columns(degree)):
-                for i, v in col:
-                    rows[i][j] = v
-            self._cache[key] = tuple(map(tuple, rows))
-        return self._cache[key]
+        rows = [[0] * len(self.points(degree)) for _ in self.points(degree - 1)]
+        for j, col in enumerate(self.columns(degree)):
+            for i, v in col:
+                rows[i][j] = v
+        return tuple(map(tuple, rows))
 
     def point(self, name: str) -> CriticalPoint:
         try:
@@ -179,11 +204,11 @@ class FilteredComplex:
 
         The order is computed once per complex; each call returns a new list.
         """
-        order = self._cache.get("all_points")
-        if order is None:
-            order = tuple(sorted(self._by_name.values(), key=lambda p: (p.value, p.name)))
-            self._cache["all_points"] = order
-        return list(order)
+        return list(self._value_order())
+
+    @memoized
+    def _value_order(self) -> tuple[CriticalPoint, ...]:
+        return tuple(sorted(self._by_name.values(), key=lambda p: (p.value, p.name)))
 
     @property
     def n_points(self) -> int:
@@ -205,12 +230,10 @@ class FilteredComplex:
                 and self._points == other._points
                 and self._columns == other._columns)
 
+    @memoized
     def __hash__(self):
         """Hash of the canonical serialization, which equal complexes share."""
-        h = self._cache.get("hash")
-        if h is None:
-            h = self._cache["hash"] = hash(serialize(self))
-        return h
+        return hash(serialize(self))
 
     def __repr__(self):
         return (f"FilteredComplex(ambient={self.ambient_dim}, "
@@ -354,6 +377,7 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
 # ---------------------------------------------------------------------------
 # validation and admissibility
 
+@memoized
 def _homology_data(c: FilteredComplex):
     """Per-degree rational ranks and integer torsion divisors, memoized.
 
@@ -363,9 +387,6 @@ def _homology_data(c: FilteredComplex):
     pivots takes a Smith form, so a certified complex takes none; its
     normal form is still verified, since ``reduce_integer`` runs first.
     """
-    cached = c._cache.get("homology_data")
-    if cached is not None:
-        return cached
     # barannikov imports this module, so the reductions are imported here
     from .barannikov import _integer_reduction, _invariant_factors, reduce_integer
     reduce_integer(c)
@@ -373,16 +394,12 @@ def _homology_data(c: FilteredComplex):
     ranks = {k: len(c.points(k)) - len(f) - len(factors.get(k + 1, ()))
              for k, f in factors.items()}
     torsion = {k: tuple(d for d in factors.get(k + 1, ()) if d > 1) for k in c.degrees()}
-    data = (ranks, torsion)
-    c._cache["homology_data"] = data
-    return data
+    return ranks, torsion
 
 
+@memoized
 def _admissibility(c: FilteredComplex):
     """Return (global index or None, findings) for a structurally valid complex."""
-    cached = c._cache.get("admissibility")
-    if cached is not None:
-        return cached
     ranks, torsion = _homology_data(c)
     findings = []
     ones = [k for k, r in ranks.items() if r == 1]
@@ -396,16 +413,12 @@ def _admissibility(c: FilteredComplex):
         detail = ", ".join(f"H{k}~{list(t)}" for k, t in sorted(torsion_degs.items()))
         findings.append(Violation("torsion", f"integral torsion [{detail}]"))
     lam = ones[0] if len(ones) == 1 and not bad and not torsion_degs else None
-    result = (lam, tuple(findings))
-    c._cache["admissibility"] = result
-    return result
+    return lam, tuple(findings)
 
 
+@memoized
 def _violations(c: FilteredComplex) -> tuple[Violation, ...]:
     """Structural findings (degree, distinct values, ascent, d∘d), memoized."""
-    cached = c._cache.get("violations")
-    if cached is not None:
-        return cached
     violations: list[Violation] = []
     for p in c.all_points():
         if p.degree < 0 or p.degree > c.ambient_dim:
@@ -430,9 +443,7 @@ def _violations(c: FilteredComplex) -> tuple[Violation, ...]:
             if any(sparse_product_columns(c.columns(k), c.columns(k + 1))):
                 violations.append(Violation(
                     "dd_nonzero", f"boundary squared is nonzero from degree {k + 1}"))
-    result = tuple(violations)
-    c._cache["violations"] = result
-    return result
+    return tuple(violations)
 
 
 def validate(c: FilteredComplex) -> ValidationReport:
@@ -468,6 +479,7 @@ def global_index(c: FilteredComplex) -> int:
 # ---------------------------------------------------------------------------
 # structural operations
 
+@memoized
 def negate(c: FilteredComplex) -> FilteredComplex:
     """The complex of the negated function: degree k -> ambient - k, value -> -value.
 
@@ -475,9 +487,6 @@ def negate(c: FilteredComplex) -> FilteredComplex:
     (transpose with both row and column order reversed). The result is
     memoized on the (immutable) input.
     """
-    cached = c._cache.get("negate")
-    if cached is not None:
-        return cached
     n = c.ambient_dim
     points = [(p.name, n - p.degree, -p.value)
               for k in c.degrees() for p in c.points(k)]
@@ -488,9 +497,7 @@ def negate(c: FilteredComplex) -> FilteredComplex:
         for p, col in zip(c.points(k), c.columns(k)):
             for m, v in col:
                 boundaries.setdefault(lower[m].name, {})[p.name] = v
-    result = FilteredComplex.build(n, points, boundaries)
-    c._cache["negate"] = result
-    return result
+    return FilteredComplex.build(n, points, boundaries)
 
 
 def restrict(c: FilteredComplex, lo, hi) -> FilteredComplex:

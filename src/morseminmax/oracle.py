@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import Coefficients, invariant_factors, rank_over
-from .complexes import CriticalPoint, FilteredComplex
+from .complexes import CriticalPoint, FilteredComplex, memoized
 from .errors import InternalInconsistencyError, NotAdmissibleError
 
 
@@ -37,26 +37,23 @@ def _rank(c: FilteredComplex, field: Coefficients, k: int,
     n = len(c.points(k)) if ncols is None else ncols
     if not n or first_row >= len(c.points(k - 1)):
         return 0
-    full = first_row == 0 and n == len(c.points(k))
-    key = ("oracle_rank", field.token(), k)
-    got = c._cache.get(key) if full else None
-    if got is None:
-        got = rank_over([list(r[:n]) for r in c.matrix(k)[first_row:]], field)
-        if full:
-            c._cache[key] = got
-    return got
+    if first_row == 0 and n == len(c.points(k)):
+        return _full_rank(c, field, k)
+    return rank_over([list(r[:n]) for r in c.matrix(k)[first_row:]], field)
 
 
+@memoized
+def _full_rank(c: FilteredComplex, field: Coefficients, k: int) -> int:
+    return rank_over([list(r) for r in c.matrix(k)], field)
+
+
+@memoized
 def _factors(c: FilteredComplex, k: int) -> tuple[int, ...]:
     """Nonzero invariant factors of the degree-k boundary matrix, memoized
     per complex; their count is its rank."""
-    key = ("oracle_factors", k)
-    got = c._cache.get(key)
-    if got is None:
-        empty = not (c.points(k - 1) and c.points(k))
-        got = c._cache[key] = () if empty else invariant_factors(
-            [list(r) for r in c.matrix(k)], ncols=len(c.points(k)))
-    return got
+    if not (c.points(k - 1) and c.points(k)):
+        return ()
+    return invariant_factors([list(r) for r in c.matrix(k)], ncols=len(c.points(k)))
 
 
 def homology(c: FilteredComplex, coeff: Coefficients, k: int) -> HomologySummary:
@@ -112,6 +109,7 @@ def pairs_by_rank(c: FilteredComplex, field: Coefficients,
     return pairs
 
 
+@memoized
 def _global_index(c: FilteredComplex) -> int:
     """The degree of the rank-one, torsion-free total homology, memoized.
 
@@ -120,9 +118,6 @@ def _global_index(c: FilteredComplex) -> int:
     shared with :func:`homology`: the nonzero invariant factors count its
     rank, and any factor above 1 is torsion.
     """
-    lam = c._cache.get("oracle_global_index")
-    if lam is not None:
-        return lam
     factors = {k: _factors(c, k) for k in c.degrees()}
     betti = {k: len(c.points(k)) - len(factors[k]) - len(factors.get(k + 1, ()))
              for k in c.degrees()}
@@ -130,8 +125,7 @@ def _global_index(c: FilteredComplex) -> int:
     torsion = any(d > 1 for f in factors.values() for d in f)
     if len(ones) != 1 or any(b not in (0, 1) for b in betti.values()) or torsion:
         raise NotAdmissibleError(f"oracle homology ranks {betti}, torsion {torsion}")
-    lam = c._cache["oracle_global_index"] = ones[0]
-    return lam
+    return ones[0]
 
 
 def minmax_scan_field(c: FilteredComplex, field: Coefficients,

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .barannikov import _integer_reduction, _reduce_degree, reduce as _reduce
 from .coeff import INTEGERS, Coefficients, back_substitute
-from .complexes import CriticalPoint, FilteredComplex, global_index, negate
+from .complexes import CriticalPoint, FilteredComplex, global_index, memoized, negate
 from .errors import InternalInconsistencyError
 
 Selected = tuple[Fraction, CriticalPoint]
@@ -31,19 +31,14 @@ def minmax_field(c: FilteredComplex, field: Coefficients) -> Selected:
     return _minmax_field_at(c, field, global_index(c))
 
 
+@memoized
 def _minmax_field_at(c: FilteredComplex, field: Coefficients, lam: int) -> Selected:
-    key = ("minmax_field", field.token())
-    cached = c._cache.get(key)
-    if cached is not None:
-        return cached
     frees = _reduce(c, field).free_of_degree(lam)
     if len(frees) != 1:
         raise InternalInconsistencyError(
             f"expected one free point of degree {lam}, found "
             f"{[p.name for p in frees]}")
-    result = (frees[0].value, frees[0])
-    c._cache[key] = result
-    return result
+    return frees[0].value, frees[0]
 
 
 def _negated_index(c: FilteredComplex) -> int:
@@ -82,10 +77,8 @@ def minmax_int(c: FilteredComplex) -> Selected:
     return _minmax_int_at(c, global_index(c))
 
 
+@memoized
 def _minmax_int_at(c: FilteredComplex, lam: int) -> Selected:
-    cached = c._cache.get("minmax_int")
-    if cached is not None:
-        return cached
     _, H, R, _ = _integer_reduction(c, lam)
     cycles = {j: H[j] for j, col in enumerate(R) if not col}  # H[j] ends at j
     Y = []
@@ -101,9 +94,7 @@ def _minmax_int_at(c: FilteredComplex, lam: int) -> Selected:
             f"cycle/boundary presentation has rank {len(cycles) - len(pairs)}, not one")
     units = {m for j, m in pairs.items() if RY[j][m] in (1, -1)}
     point = c.points(lam)[max(cycles.keys() - units)]
-    result = (point.value, point)
-    c._cache["minmax_int"] = result
-    return result
+    return point.value, point
 
 
 def maxmin_int(c: FilteredComplex) -> Selected:
@@ -165,9 +156,6 @@ def selector_report(c: FilteredComplex, coeffs) -> SelectorReport:
             gv, gp = maxmin_field(c, co)
             entries.append(SelectorEntry(co, fv, fp, gv, gp))
             field_values.append(fv)
-            if fv != gv:
-                raise InternalInconsistencyError(
-                    f"field selectors disagree over {co}: {fv} vs {gv}")
     int_equal = mm_v == sm_v
     chain_ok = all(sm_v <= fv <= mm_v for fv in field_values)
     propagation_ok = (not int_equal) or all(fv == mm_v for fv in field_values)

@@ -34,7 +34,9 @@ from slides import slid_complex  # noqa: E402
 
 
 def dense_views(c):
-    return sorted(key for key in c._cache if isinstance(key, tuple) and key[0] == "matrix")
+    """Degrees whose dense ``c.matrix`` view has been built."""
+    return sorted(key[1] for key in c._cache
+                  if key[0] == "morseminmax.complexes.FilteredComplex.matrix")
 
 
 def shifted_transform(c, k):
@@ -74,7 +76,7 @@ def test_dense_view_stays_off_the_fast_path(make, admissible):
             global_index(c)
     assert dense_views(c) == []
     homology(c, RATIONALS, 2)
-    assert ("matrix", 2) in dense_views(c)
+    assert 2 in dense_views(c)
 
 
 def columns_readers(source: str) -> list[int]:
@@ -114,3 +116,22 @@ def test_only_the_oracle_reads_the_dense_view():
 def test_matrix_readers_sees_an_outside_read():
     source = (PACKAGE / "barannikov.py").read_text()
     assert matrix_readers(source + "\ndef peek(c, k):\n    return c.matrix(k + 1)\n")
+
+
+def cache_readers(source: str) -> list[int]:
+    """Line numbers of every ``._cache`` attribute access in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "_cache"]
+
+
+def test_only_complexes_touches_the_memo_store():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "complexes.py" in modules
+    found = [f"{path.name}:{line}" for path in modules if path.name != "complexes.py"
+             for line in cache_readers(path.read_text())]
+    assert found == []
+
+
+def test_cache_readers_sees_an_outside_read():
+    source = (PACKAGE / "oracle.py").read_text()
+    assert cache_readers(source + "\ndef peek(c):\n    return c._cache.get('rank')\n")

@@ -3,9 +3,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from morseminmax import cli
+import pytest
+
+from morseminmax import cli, selector
 from morseminmax.cli import main
 from morseminmax.complexes import negate, parse_complex, serialize
+from morseminmax.errors import InternalInconsistencyError
 from morseminmax.gen import paper_fixture, random_admissible_complex
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -232,3 +235,36 @@ def test_fuzz_battery_checks_the_negated_global_index(monkeypatch):
     real = cli.global_index
     monkeypatch.setattr(cli, "global_index", lambda d: real(d) + (d is neg))
     assert cli._battery(c, 3) == ["global index of the negation is not ambient minus lambda"]
+
+
+def test_fuzz_reports_an_internal_inconsistency_with_its_seed(monkeypatch, capsys):
+    bad = random_admissible_complex(1, max_points=12)
+    real = selector._minmax_int_at
+
+    def planted(c, lam):
+        if c == bad:
+            raise InternalInconsistencyError("planted")
+        return real(c, lam)
+
+    monkeypatch.setattr(selector, "_minmax_int_at", planted)
+    code, out, _ = run(capsys, "fuzz", "--trials", "3", "--seed", "0", "--max-points", "12")
+    assert code == 2
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "FAIL trial=1 seed=1: planted"]
+    assert "failures=1" in out
+
+
+@pytest.mark.parametrize("name, check", [
+    ("selector_report", "selector-table"),
+    ("capitanio_criterion", "criterion-refutation"),
+])
+def test_verify_paper_reports_an_internal_inconsistency(monkeypatch, capsys, name, check):
+    def planted(*args):
+        raise InternalInconsistencyError("planted")
+
+    monkeypatch.setattr(cli, name, planted)
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 2
+    assert out.count("PASS") == 3
+    assert f"FAIL {check}: planted" in out
+    assert "1 check(s) failed" in out

@@ -6,13 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morseminmax import coeff, complexes
-from morseminmax.barannikov import Certified, Obstructed, _reduce_degree, reduce_integer
-from morseminmax.coeff import INTEGERS, RATIONALS, sparse_columns
+from morseminmax.barannikov import (
+    Certified,
+    Obstructed,
+    _reduce_degree,
+    reduce,
+    reduce_integer,
+)
+from morseminmax.coeff import INTEGERS, RATIONALS, Coefficients, sparse_columns
 from morseminmax.complexes import (
     FilteredComplex,
     _homology_data,
     change_basis,
     global_index,
+    memoized,
     negate,
     parse_complex,
     restrict,
@@ -542,6 +549,50 @@ def test_hash_agrees_with_equality(laudenbach):
         assert shuffled in {laudenbach}
     assert negate(laudenbach) not in {laudenbach}
     assert {laudenbach: 1}[paper_fixture("laudenbach")] == 1
+
+
+# -- memoization ----------------------------------------------------------------
+
+def _probe_in(module):
+    def probe(c, k):
+        return module, k
+    probe.__module__ = module
+    return memoized(probe)
+
+
+def test_memo_keys_do_not_collide_across_modules(f0):
+    first, second = _probe_in("alpha"), _probe_in("beta")
+    assert first.__name__ == second.__name__
+    assert first(f0, 1) == ("alpha", 1)
+    assert second(f0, 1) == ("beta", 1)
+    assert first(f0, 1) is first(f0, 1)
+
+
+def test_memo_stores_nothing_for_a_call_that_raises(f0):
+    calls = []
+
+    @memoized
+    def flaky(c):
+        calls.append(c)
+        if len(calls) == 1:
+            raise RuntimeError("first call fails")
+        return len(calls)
+
+    with pytest.raises(RuntimeError):
+        flaky(f0)
+    assert (flaky(f0), flaky(f0), len(calls)) == (2, 2, 2)
+    before = dict(f0._cache)
+    with pytest.raises(ValueError, match="reduce_integer"):
+        reduce(f0, INTEGERS)
+    assert f0._cache == before
+
+
+def test_memo_keeps_one_shared_entry_per_argument(f0):
+    fields = (Coefficients.prime_field(2), Coefficients.prime_field(3), RATIONALS)
+    forms = [reduce(f0, field) for field in fields]
+    assert len({id(form) for form in forms}) == 3
+    assert all(reduce(f0, field) is form for field, form in zip(fields, forms))
+    assert reduce(f0, Coefficients.prime_field(2)) is forms[0]
 
 
 # -- property: round trips over random complexes -------------------------------
