@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation failure of the input, 2 assertion failure
-(verify-paper, fuzz), 3 usage error.
+(verify-paper, fuzz) or an internal inconsistency in any command, 3 usage error.
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ from .complexes import (
     global_index,
     negate,
     parse_complex,
+    parse_value,
     restrict,
     serialize,
     validate,
 )
-from .errors import (
-    EndpointCriticalError,
-    InternalInconsistencyError,
-    NotAdmissibleError,
-    ParseError,
-)
+from .errors import InternalInconsistencyError, NotAdmissibleError, ParseError
 from .gen import (
     FIXTURE_NAMES,
     min_value_gap,
@@ -38,7 +34,6 @@ from .gen import (
 from .oracle import homology, minmax_scan_field, pairs_by_rank
 from .selector import (
     capitanio_criterion,
-    maxmin_field,
     maxmin_int,
     minmax_field,
     minmax_int,
@@ -46,6 +41,17 @@ from .selector import (
 )
 
 USAGE_ERROR = 3
+_FIELDS = (Coefficients.prime_field(2), Coefficients.prime_field(3),
+           Coefficients.prime_field(5), Coefficients.rationals())
+
+
+class _Exit(Exception):
+    """Ends a command with an exit code; ``main`` prints the message, if any."""
+
+    def __init__(self, code: int, message: str | None = None):
+        super().__init__(message)
+        self.code = code
+        self.message = message
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,7 +112,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_input(path: str) -> bytes | str | None:
+def _read_input(path: str) -> bytes | str:
     """The raw input; ``parse_complex`` decodes it and reports bad bytes."""
     if path == "-":
         return getattr(sys.stdin, "buffer", sys.stdin).read()
@@ -114,39 +120,31 @@ def _read_input(path: str) -> bytes | str | None:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise _Exit(USAGE_ERROR, f"cannot read {path}: {exc}") from None
 
 
-def _load(path: str) -> FilteredComplex | int:
-    text = _read_input(path)
-    if text is None:
-        return USAGE_ERROR
+def _load(path: str) -> FilteredComplex:
     try:
-        return parse_complex(text, check=False)
+        return parse_complex(_read_input(path), check=False)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(1, str(exc)) from None
 
 
-def _load_valid(path: str) -> FilteredComplex | int:
+def _load_valid(path: str) -> FilteredComplex:
     c = _load(path)
-    if isinstance(c, int):
-        return c
     report = validate(c)
     if not report.ok:
         for line in report.describe():
             print(line)
-        return 1
+        raise _Exit(1)
     return c
 
 
-def _parse_coeff(token: str):
+def _parse_coeff(token: str) -> Coefficients:
     try:
         return Coefficients.parse(token)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise _Exit(USAGE_ERROR, str(exc)) from None
 
 
 def _fmt_selected(value, point) -> str:
@@ -154,10 +152,7 @@ def _fmt_selected(value, point) -> str:
 
 
 def _cmd_validate(args) -> int:
-    c = _load(args.file)
-    if isinstance(c, int):
-        return c
-    report = validate(c)
+    report = validate(_load(args.file))
     for line in report.describe():
         print(line)
     print(f"ok {'yes' if report.ok else 'no'}")
@@ -167,11 +162,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     coeff = _parse_coeff(args.coeff)
-    if coeff is None:
-        return USAGE_ERROR
     c = _load_valid(args.file)
-    if isinstance(c, int):
-        return c
     if coeff.is_integers:
         outcome = reduce_integer(c)
         if isinstance(outcome, Obstructed):
@@ -189,24 +180,14 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_selector(args) -> int:
-    tokens = [t for t in args.coeff.split(",") if t]
-    coeffs = []
-    for t in tokens:
-        co = _parse_coeff(t)
-        if co is None:
-            return USAGE_ERROR
-        coeffs.append(co)
+    coeffs = [_parse_coeff(t) for t in args.coeff.split(",") if t]
     if not coeffs:
-        print("error: no coefficient systems given", file=sys.stderr)
-        return USAGE_ERROR
+        raise _Exit(USAGE_ERROR, "no coefficient systems given")
     c = _load_valid(args.file)
-    if isinstance(c, int):
-        return c
     try:
         report = selector_report(c, coeffs)
     except NotAdmissibleError as exc:
-        print(f"error: input not selector-admissible: {exc}", file=sys.stderr)
-        return 1
+        raise _Exit(1, f"input not selector-admissible: {exc}") from None
     flags = (f"int_equal={str(report.int_equal).lower()} "
              f"chain_ok={str(report.chain_ok).lower()} "
              f"propagation_ok={str(report.propagation_ok).lower()}")
@@ -229,42 +210,30 @@ def _cmd_selector(args) -> int:
 
 
 def _cmd_negate(args) -> int:
-    c = _load_valid(args.file)
-    if isinstance(c, int):
-        return c
-    sys.stdout.write(serialize(negate(c)))
+    sys.stdout.write(serialize(negate(_load_valid(args.file))))
     return 0
 
 
 def _cmd_restrict(args) -> int:
-    parts = args.window.split(":")
-    if len(parts) != 2:
-        print(f"error: bad window {args.window!r}, expected B:C", file=sys.stderr)
-        return USAGE_ERROR
+    bounds = args.window.split(":")
+    if len(bounds) != 2:
+        raise _Exit(USAGE_ERROR, f"bad window {args.window!r}, expected B:C")
     try:
-        lo, hi = Fraction(parts[0]), Fraction(parts[1])
-    except (ValueError, ZeroDivisionError):
-        print(f"error: bad window bounds {args.window!r}", file=sys.stderr)
-        return USAGE_ERROR
+        lo, hi = map(parse_value, bounds)
+    except ValueError:
+        raise _Exit(USAGE_ERROR, f"bad window bounds {args.window!r}") from None
     c = _load_valid(args.file)
-    if isinstance(c, int):
-        return c
     try:
         out = restrict(c, lo, hi)
-    except (EndpointCriticalError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        raise _Exit(1, str(exc)) from None
     sys.stdout.write(serialize(out))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     coeff = _parse_coeff(args.coeff)
-    if coeff is None:
-        return USAGE_ERROR
     c = _load_valid(args.file)
-    if isinstance(c, int):
-        return c
     for k in range(c.ambient_dim + 1):
         h = homology(c, coeff, k)
         torsion = ",".join(str(d) for d in h.torsion) or "-"
@@ -288,19 +257,16 @@ def _cmd_fixture(args) -> int:
     if name.startswith("single:"):
         parts = name.split(":")
         if len(parts) != 4:
-            print("error: expected single:DEGREE:VALUE:AMBIENT", file=sys.stderr)
-            return USAGE_ERROR
+            raise _Exit(USAGE_ERROR, "expected single:DEGREE:VALUE:AMBIENT")
         try:
-            c = single_point(int(parts[1]), Fraction(parts[2]), int(parts[3]))
-        except (ValueError, ZeroDivisionError) as exc:
-            print(f"error: bad single fixture: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            c = single_point(int(parts[1]), parse_value(parts[2]), int(parts[3]))
+        except ValueError as exc:
+            raise _Exit(USAGE_ERROR, f"bad single fixture: {exc.args[0]}") from None
     else:
         try:
             c = paper_fixture(name)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            raise _Exit(USAGE_ERROR, str(exc)) from None
     sys.stdout.write(serialize(c))
     return 0
 
@@ -308,8 +274,6 @@ def _cmd_fixture(args) -> int:
 def _verify_checks():
     """The bundled end-to-end fixture assertions."""
     lau = paper_fixture("laudenbach")
-    systems = [INTEGERS, Coefficients.prime_field(2), Coefficients.prime_field(3),
-               Coefficients.prime_field(5), Coefficients.rationals()]
     expected = {
         "z": (Fraction(3), "xi3_n", Fraction(2), "xi2_n"),
         "f2": (Fraction(3), "xi3_n", Fraction(3), "xi3_n"),
@@ -319,7 +283,7 @@ def _verify_checks():
     }
 
     def check_table():
-        report = selector_report(lau, systems)
+        report = selector_report(lau, (INTEGERS, *_FIELDS))
         for tok, (mv, mp, sv, sp) in expected.items():
             e = report.entry(tok)
             got = (e.minmax_value, e.minmax_point.name,
@@ -387,23 +351,19 @@ def _cmd_verify_paper(_args) -> int:
 def _battery(c: FilteredComplex, trial_seed: int) -> list[str]:
     """Invariant battery for one admissible complex; returns failure strings."""
     failures = []
-    fields = [Coefficients.prime_field(2), Coefficients.prime_field(3),
-              Coefficients.prime_field(5), Coefficients.rationals()]
-    mm_int = minmax_int(c)
-    sm_int = maxmin_int(c)
-    field_vals = {}
-    for field in fields:
-        mm = maxmin_field(c, field)  # raises unless it equals the minmax
-        scan = minmax_scan_field(c, field)
-        field_vals[field.token()] = mm[0]
-        if scan != mm:
-            failures.append(f"{field}: scan {scan} != minmax {mm}")
-        if not (sm_int[0] <= mm[0] <= mm_int[0]):
-            failures.append(f"{field}: chain violated {sm_int[0]} <= {mm[0]} <= {mm_int[0]}")
-    if mm_int[0] == sm_int[0] and any(v != mm_int[0] for v in field_vals.values()):
+    report = selector_report(c, (INTEGERS, *_FIELDS))  # raises unless maxmin = minmax
+    z, *entries = report.entries
+    for e in entries:
+        mm = e.minmax_value, e.minmax_point
+        if (scan := minmax_scan_field(c, e.coeff)) != mm:
+            failures.append(f"{e.coeff}: scan {scan} != minmax {mm}")
+    if not report.chain_ok:
+        values = " ".join(f"{e.coeff}={e.minmax_value}" for e in entries)
+        failures.append(f"chain violated: {z.maxmin_value} <= {values} <= {z.minmax_value}")
+    if not report.propagation_ok:
         failures.append("integer selectors agree but a field value differs")
     for k in range(c.ambient_dim + 1):
-        if betti(c, fields[0], k) != homology(c, fields[0], k).rank:
+        if betti(c, _FIELDS[0], k) != homology(c, _FIELDS[0], k).rank:
             failures.append(f"betti/homology mismatch in degree {k}")
     if negate(negate(c)) != c:
         failures.append("negation is not an involution")
@@ -413,20 +373,19 @@ def _battery(c: FilteredComplex, trial_seed: int) -> list[str]:
     gap = min_value_gap(c)
     eps = gap / 4 if gap is not None else Fraction(1)
     moved = perturb_values(c, eps, seed=trial_seed)
-    if abs(minmax_int(moved)[0] - mm_int[0]) > eps:
+    if abs(minmax_int(moved)[0] - z.minmax_value) > eps:
         failures.append("integer minmax moved more than the perturbation")
-    if abs(maxmin_int(moved)[0] - sm_int[0]) > eps:
+    if abs(maxmin_int(moved)[0] - z.maxmin_value) > eps:
         failures.append("integer maxmin moved more than the perturbation")
-    for field in fields:
-        if abs(minmax_field(moved, field)[0] - field_vals[field.token()]) > eps:
-            failures.append(f"{field}: minmax moved more than the perturbation")
+    for e in entries:
+        if abs(minmax_field(moved, e.coeff)[0] - e.minmax_value) > eps:
+            failures.append(f"{e.coeff}: minmax moved more than the perturbation")
     return failures
 
 
 def _cmd_fuzz(args) -> int:
     if args.trials < 1 or args.max_points < 3:
-        print("error: need --trials >= 1 and --max-points >= 3", file=sys.stderr)
-        return USAGE_ERROR
+        raise _Exit(USAGE_ERROR, "need --trials >= 1 and --max-points >= 3")
     failures = 0
     for i in range(args.trials):
         trial_seed = args.seed * 1_000_003 + i
@@ -462,7 +421,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _Exit as exc:
+        if exc.message is not None:
+            print(f"error: {exc.message}", file=sys.stderr)
+        return exc.code
+    except InternalInconsistencyError as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,11 +13,13 @@ from typing import Sequence
 
 IntMatrix = list[list[int]]
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least composite that passes all of _MR_BASES (a strong pseudoprime to each)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test (exact for every input below 3.3e24)."""
+    """Deterministic Miller-Rabin test, exact for every input below _MR_EXACT_BELOW."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -51,6 +53,9 @@ class Coefficients:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.kind == "Fp":
+            if self.p is not None and self.p >= _MR_EXACT_BELOW:
+                raise ValueError(f"prime modulus must be below {_MR_EXACT_BELOW}, "
+                                 f"got {self.p}")
             if self.p is None or not is_prime(self.p):
                 raise ValueError(f"prime field needs a prime modulus, got {self.p!r}")
         elif self.p is not None:

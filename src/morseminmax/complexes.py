@@ -264,6 +264,25 @@ _VALUE_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 _TERM_RE = re.compile(r"(-?[0-9]+)\*([A-Za-z0-9_]+)\Z")
 
 
+def _integer(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"number {tok[:12]}... is too long ({len(tok)} characters)",
+                         tok) from None
+
+
+def parse_value(tok: str) -> Fraction:
+    """A value in the file grammar: an integer or ``p/q`` with q > 0, and no
+    decimals or exponents. A ValueError's args are its message and the part
+    of ``tok`` at fault."""
+    m = _VALUE_RE.match(tok)
+    denominator = _integer(m.group(2) or "1") if m else 0
+    if denominator == 0:
+        raise ValueError(f"bad critical value {tok!r}", tok)
+    return Fraction(_integer(m.group(1)), denominator)
+
+
 def _decode(data: bytes) -> str:
     """UTF-8 text of ``data``; a bad byte is a ParseError at its line and column."""
     try:
@@ -292,12 +311,12 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
         column = line.find(token) + 1 if token and token in line else 1
         raise ParseError(msg, lineno, column)
 
-    def num(tok, lineno, line):
+    def num(tok, lineno, line, read=_integer):
         try:
-            return int(tok)
-        except ValueError:  # more digits than int() converts
-            err(f"number {tok[:12]}... is too long ({len(tok)} characters)",
-                lineno, line, tok)
+            return read(tok)
+        except ValueError as exc:
+            message, token = exc.args
+            err(message, lineno, line, token)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -327,12 +346,7 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
             if not _INT_RE.match(deg_tok):
                 err(f"degree must be an integer, got {deg_tok!r}", lineno, raw, deg_tok)
             degree = num(deg_tok, lineno, raw)
-            m = _VALUE_RE.match(val_tok)
-            denominator = num(m.group(2) or "1", lineno, raw) if m else 0
-            if denominator == 0:
-                err(f"bad critical value {val_tok!r}", lineno, raw, val_tok)
-            value = Fraction(num(m.group(1), lineno, raw), denominator)
-            points.append((name, degree, value))
+            points.append((name, degree, num(val_tok, lineno, raw, parse_value)))
             declared[name] = degree
         elif head == "boundary":
             if len(fields) < 4 or fields[2] != ":":

@@ -1,3 +1,4 @@
+import ast
 import io
 import sys
 from dataclasses import replace
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from morseminmax import cli, selector
+from morseminmax import barannikov, cli, selector
 from morseminmax.cli import main
 from morseminmax.complexes import negate, parse_complex, serialize
 from morseminmax.errors import InternalInconsistencyError
@@ -80,6 +81,10 @@ def test_selector_bad_token(capsys):
     code, _, err = run(capsys, "selector", LAUDENBACH, "--coeff", "f4")
     assert code == 3
     assert "prime" in err
+    code, out, err = run(capsys, "selector", LAUDENBACH, "--coeff",
+                         "f318665857834031151167461")
+    assert (code, out) == (3, "")
+    assert "prime" in err
 
 
 def test_selector_not_admissible(tmp_path, capsys):
@@ -142,6 +147,15 @@ def test_restrict_endpoint_critical(capsys):
 def test_restrict_bad_window(capsys):
     code, _, err = run(capsys, "restrict", LAUDENBACH, "--window", "oops")
     assert code == 3
+
+
+def test_window_and_single_values_use_the_file_grammar(capsys):
+    code, out, err = run(capsys, "restrict", LAUDENBACH, "--window=1/2:1e1")
+    assert (code, out) == (3, "")
+    assert "bad window bounds" in err
+    code, out, err = run(capsys, "fixture", "single:0:1e1:1")
+    assert (code, out) == (3, "")
+    assert "bad critical value '1e1'" in err
 
 
 def test_restrict_negative_bound_equals_form(capsys):
@@ -254,6 +268,15 @@ def test_fuzz_reports_an_internal_inconsistency_with_its_seed(monkeypatch, capsy
     assert "failures=1" in out
 
 
+def test_reduce_reports_an_internal_inconsistency(monkeypatch, capsys):
+    def planted(c, form):
+        raise InternalInconsistencyError("planted")
+
+    monkeypatch.setattr(barannikov, "_verify_normal_form", planted)
+    code, out, err = run(capsys, "reduce", LAUDENBACH, "--coeff", "q")
+    assert (code, out, err) == (2, "", "error: internal inconsistency: planted\n")
+
+
 @pytest.mark.parametrize("name, check", [
     ("selector_report", "selector-table"),
     ("capitanio_criterion", "criterion-refutation"),
@@ -268,3 +291,23 @@ def test_verify_paper_reports_an_internal_inconsistency(monkeypatch, capsys, nam
     assert out.count("PASS") == 3
     assert f"FAIL {check}: planted" in out
     assert "1 check(s) failed" in out
+
+
+def stderr_writers(source: str) -> list[int]:
+    """Line numbers of every ``.stderr`` access in ``source`` outside ``main``."""
+    tree = ast.parse(source)
+    in_main = {id(node) for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "main"
+               for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "stderr"
+            and id(node) not in in_main]
+
+
+def test_only_main_writes_to_stderr():
+    assert stderr_writers(Path(cli.__file__).read_text()) == []
+
+
+def test_stderr_writers_sees_an_outside_write():
+    source = Path(cli.__file__).read_text()
+    assert stderr_writers(source + "\ndef _warn(msg):\n    print(msg, file=sys.stderr)\n")

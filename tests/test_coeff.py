@@ -157,6 +157,15 @@ def test_is_prime():
     assert not is_prime(2**32 + 1)
 
 
+def test_prime_moduli_stop_where_miller_rabin_is_exact():
+    # 399165290221 * 798330580441 passes every prime base up to 37, not 41
+    assert not is_prime(318665857834031151167461)
+    # the least composite that passes every prime base up to 41
+    assert is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError, match="below"):
+        Coefficients.prime_field(3317044064679887385961981)
+
+
 def test_sparse_product_columns_drops_zeros():
     # A = [[1, 1], [0, 2]]; B = [[1], [-1]] cancels row 0 and leaves 2*(-1) in row 1
     A = [((0, 1),), ((0, 1), (1, 2))]
