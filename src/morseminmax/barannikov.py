@@ -26,11 +26,17 @@ first one. A column that meets a non-unit pivot takes Euclid's step (floor
 division, and a remainder takes the row over), so the reduction finishes
 and its zeroed columns are an echelon basis of the integer cycles. It is
 memoized per degree, and homology and the integer selectors read it too.
+
+A certificate over Z is one over every field: the change of coefficients
+Z -> Q or Z -> F_p keeps the basis change triangular with a unit diagonal
+and the normal form exact. So a certified complex's field forms are its
+integer form (Q) or that form with its basis reduced mod p and checked
+mod p (F_p). Only an obstructed complex is reduced once per field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -140,7 +146,9 @@ class CanonicalForm:
     column per degree-k point. A column of P_k is the reduction's own
     ``{row: coeff}`` dict. A column of B_k has the format of
     ``FilteredComplex.columns``: ``((m, 1),)`` for a column paired with row
-    m, and ``()`` otherwise.
+    m, and ``()`` otherwise. The field forms of a certified complex share
+    the integer form's ``pairs``, ``free`` and ``normal``; over Q they share
+    its ``basis`` too, and over F_p their basis is that one reduced mod p.
     """
 
     coeff: Coefficients
@@ -237,9 +245,32 @@ def reduce(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
     boundary operator into the same normal form, so the output is invariant
     under valid basis changes of the input. The form is memoized on the
     (immutable) complex, one per field, and must not be modified.
+
+    A certified complex is not reduced again. Its integer basis change has
+    a +-1 diagonal, so it stays value-order triangular and invertible under
+    every ring map Z -> field, and D P = P B stays true there. Over Q the
+    form is the integer form itself (its check would repeat the integer one
+    on the same operands). Over F_p it is the integer form with its basis
+    reduced mod p, checked mod p. Only an obstructed complex is reduced per
+    field, since there the answer may depend on the characteristic.
     """
     if field.is_integers:
         raise ValueError("use reduce_integer for integer coefficients")
+    outcome = reduce_integer(c)
+    if isinstance(outcome, Obstructed):
+        return _field_form(c, field)
+    p = field.p
+    if p is None:
+        return replace(outcome.form, coeff=field)
+    basis = {k: [{i: v % p for i, v in col.items() if v % p} for col in cols]
+             for k, cols in outcome.form.basis.items()}
+    form = replace(outcome.form, coeff=field, basis=basis)
+    _verify_normal_form(c, form)
+    return form
+
+
+def _field_form(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
+    """The canonical form over a field by reducing every degree over it."""
     per_degree = {k: _reduce_degree(c.columns(k), field)[:3] for k in c.degrees()}
     return _assemble(c, per_degree, field)
 

@@ -41,6 +41,11 @@ from .selector import (
 )
 
 USAGE_ERROR = 3
+# Largest fuzz --max-points. The battery's oracle takes dense Smith forms of
+# whole boundary matrices, whose cost grows steeply and erratically: on a
+# 2-vCPU x86-64 VM (Python 3.11), 5 trials took at most 1.0 s at 200 points
+# and 2.6 s at 240 over 10 seeds, but 40 s for one seed of 3 at 320 points.
+FUZZ_POINTS_CAP = 200
 _FIELDS = (Coefficients.prime_field(2), Coefficients.prime_field(3),
            Coefficients.prime_field(5), Coefficients.rationals())
 
@@ -384,8 +389,9 @@ def _battery(c: FilteredComplex, trial_seed: int) -> list[str]:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.trials < 1 or args.max_points < 3:
-        raise _Exit(USAGE_ERROR, "need --trials >= 1 and --max-points >= 3")
+    if args.trials < 1 or not 3 <= args.max_points <= FUZZ_POINTS_CAP:
+        raise _Exit(USAGE_ERROR, "need --trials >= 1 and "
+                                 f"3 <= --max-points <= {FUZZ_POINTS_CAP}")
     failures = 0
     for i in range(args.trials):
         trial_seed = args.seed * 1_000_003 + i

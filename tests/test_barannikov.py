@@ -10,6 +10,7 @@ from morseminmax import barannikov, selector
 from morseminmax.barannikov import (
     Certified,
     Obstructed,
+    _field_form,
     _invariant_factors,
     _reduce_degree,
     _verify_normal_form,
@@ -171,16 +172,58 @@ def test_reduce_integer_single_point():
     assert isinstance(outcome, Certified)
 
 
+def conjugate_by_multiples(c, p, seed):
+    """c under a value-order triangular +-1-diagonal basis change in every
+    degree whose entries above the diagonal are multiples of p."""
+    rng = random.Random(seed)
+    transforms = {}
+    for k in c.degrees():
+        m = len(c.points(k))
+        transforms[k] = [[1 if i == j else p * rng.randint(-2, 2) if i < j else 0
+                          for j in range(m)] for i in range(m)]
+    return change_basis(c, transforms)
+
+
 def test_certified_matches_rational_pairing():
-    for seed in range(25):
-        c = random_admissible_complex(seed, max_points=20)
+    # reduce reads a certified complex's field forms off its integer form;
+    # the reduction over each field, which it skips there, must give the
+    # same pairing and normal form
+    large = Coefficients.prime_field(2**61 - 1)
+    complexes = [random_admissible_complex(seed, max_points=20) for seed in range(25)]
+    moved = conjugate_by_multiples(random_admissible_complex(9, max_points=24), 3, seed=14)
+    assert validate(moved).ok
+    complexes.append(moved)
+    vanished = 0
+    for c in complexes:
         outcome = reduce_integer(c)
         assert isinstance(outcome, Certified)
-        rational = reduce(c, RATIONALS)
-        assert outcome.form.pair_names() == rational.pair_names()
-        assert outcome.form.free_names() == rational.free_names()
-        for field in (F2, F3, F5):
-            assert reduce(c, field).pair_names() == rational.pair_names()
+        for field in (RATIONALS, F2, F3, F5, large):
+            form, reduced = reduce(c, field), _field_form(c, field)
+            assert form.coeff == field
+            assert (form.pairs, form.free, form.normal) == (
+                reduced.pairs, reduced.free, reduced.normal)
+            check_form(c, form)
+            p = field.p
+            if p is None:
+                assert form == reduced
+                continue
+            entries = [v for cols in form.basis.values() for col in cols for v in col.values()]
+            assert all(0 < v < p for v in entries)
+            if p == 3:
+                vanished += sum(v % 3 == 0 for cols in outcome.form.basis.values()
+                                for col in cols for v in col.values())
+    # the multiples of 3 leave integer basis entries that vanish mod 3
+    assert vanished
+
+
+def test_obstructed_field_forms_split_by_characteristic():
+    c = hidden_laudenbach(50)
+    assert isinstance(reduce_integer(c), Obstructed)
+    assert reduce(c, F2).free_names() == {"xi3_n"}
+    for field in (F3, F5, RATIONALS):
+        assert reduce(c, field).free_names() == {"xi2_n"}
+    for field in (F2, F3):
+        check_form(c, reduce(c, field))
 
 
 def test_betti_examples(laudenbach):
@@ -270,26 +313,28 @@ def test_reduce_runs_once_per_complex_and_field(monkeypatch):
     monkeypatch.setattr(barannikov, "_reduce_degree", counting)
     c = random_admissible_complex(5, max_points=20)
     n = len(c.degrees())
-    # the global index reads homology off the integer reduction
+    # the global index reads homology off the integer reduction, and the
+    # certified complex's field forms are read off it too
     minmax_field(c, F3)
     for k in range(c.ambient_dim + 1):
         betti(c, F3, k)
-    assert calls == {"z": n, "f3": n}
+    assert calls == {"z": n}
     assert reduce(c, F3) is reduce(c, F3)
     assert reduce_integer(c) is reduce_integer(c)
     assert reduce(c, F3) == reduce(parse_complex(serialize(c)), F3)
     assert reduce(c, F5).coeff == F5
     # the parsed copy is a second complex, validated on parsing
-    assert calls == {"z": 2 * n, "f3": 2 * n, "f5": n}
+    assert calls == {"z": 2 * n}
 
 
 @pytest.mark.parametrize("make", [lambda: random_admissible_complex(5, max_points=40),
                                   lambda: hidden_laudenbach(20)],
                          ids=["certified", "obstructed"])
 def test_each_integer_boundary_reduction_runs_once(monkeypatch, make):
-    # certification, homology and the integer selectors share one memoized
-    # Z reduction per complex and degree; a stored boundary is a tuple, the
-    # selector's presentation in the cycle basis is a list
+    # certification, homology, the integer selectors and the field forms of
+    # a certified complex share one memoized Z reduction per complex and
+    # degree; a stored boundary is a tuple, the selector's presentation in
+    # the cycle basis is a list
     boundaries, presentations = Counter(), []
     real = barannikov._reduce_degree
 
@@ -308,15 +353,44 @@ def test_each_integer_boundary_reduction_runs_once(monkeypatch, make):
     global_index(c)
     reduce_integer(c)
     selector_report(c, [INTEGERS, F3])
-    # every degree of c, and the global degree of negate(c) for the maxmin
-    assert list(boundaries.values()) == [1] * (len(c.degrees()) + 1)
+    every = len(c.degrees()) + len(negate(c).degrees())
+    # every degree of c; the field maxmin reads reduce_integer(negate(c)),
+    # which reduces every degree of negate(c) up to its first obstruction,
+    # and the integer maxmin its global degree
+    assert set(boundaries.values()) == {1}
+    if isinstance(reduce_integer(c), Certified):
+        assert len(boundaries) == every
+    else:
+        assert len(c.degrees()) < len(boundaries) < every
     assert len(presentations) == 2
     # validating negate(c) reduces its other degrees, and nothing twice
     minmax_int(negate(c))
-    assert list(boundaries.values()) == [1] * (len(c.degrees()) + len(negate(c).degrees()))
+    assert list(boundaries.values()) == [1] * every
     assert len(presentations) == 2
 
 
+@pytest.mark.parametrize("make, runs", [
+    (lambda: random_admissible_complex(5, max_points=40), 0),
+    (lambda: hidden_laudenbach(20), 1),
+], ids=["certified", "obstructed"])
+def test_field_reductions_run_only_on_obstructed_complexes(monkeypatch, make, runs):
+    # a certified complex's field forms come from its integer form; an
+    # obstructed one is reduced once per field and degree, of c and of
+    # negate(c) for the maxmin
+    calls = Counter()
+    real = barannikov._reduce_degree
+
+    def counting(columns, coeff):
+        if coeff.is_field:
+            calls[coeff.token(), id(columns)] += 1
+        return real(columns, coeff)
+
+    monkeypatch.setattr(barannikov, "_reduce_degree", counting)
+    c = make()
+    fields = [RATIONALS, F2, F3, F5]
+    selector_report(c, fields)
+    degrees = len(c.degrees()) + len(negate(c).degrees())
+    assert sorted(calls.values()) == [1] * (runs * len(fields) * degrees)
 def integer_kernel(A, n):
     """Dead columns of the integer reduction of A, as dense vectors keyed by
     their slot, and the first non-unit pivot."""

@@ -224,6 +224,36 @@ def test_fuzz_reproducible(capsys):
     assert first == second
 
 
+def test_fuzz_refuses_too_many_points(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("no trial may start")
+
+    monkeypatch.setattr(cli, "random_admissible_complex", unreachable)
+    for m in ("2", str(cli.FUZZ_POINTS_CAP + 1)):
+        code, out, err = run(capsys, "fuzz", "--trials", "1", "--max-points", m)
+        assert (code, out) == (3, "")
+        assert f"3 <= --max-points <= {cli.FUZZ_POINTS_CAP}" in err
+
+
+def test_reduce_checks_every_derived_prime_field_form(monkeypatch, capsys):
+    # f0 is certified, so its F3 form is derived from its integer form; the
+    # mod-3 check of that form still runs and can fail on its own
+    real = barannikov._verify_normal_form
+
+    def planted(c, form):
+        if form.coeff.p == 3:
+            raise InternalInconsistencyError("planted")
+        real(c, form)
+
+    monkeypatch.setattr(barannikov, "_verify_normal_form", planted)
+    f0 = str(DATA_DIR / "f0.cplx")
+    code, out, err = run(capsys, "reduce", f0, "--coeff", "f3")
+    assert (code, out, err) == (2, "", "error: internal inconsistency: planted\n")
+    code, out, _ = run(capsys, "reduce", f0, "--coeff", "q")
+    assert code == 0
+    assert "free xi2_n degree=2 value=2" in out
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["unknown-command"]) == 3
     assert main([]) == 3
