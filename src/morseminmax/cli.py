@@ -41,11 +41,12 @@ from .selector import (
 )
 
 USAGE_ERROR = 3
-# Largest fuzz --max-points. The battery's oracle takes dense Smith forms of
-# whole boundary matrices, whose cost grows steeply and erratically: on a
-# 2-vCPU x86-64 VM (Python 3.11), 5 trials took at most 1.0 s at 200 points
-# and 2.6 s at 240 over 10 seeds, but 40 s for one seed of 3 at 320 points.
-FUZZ_POINTS_CAP = 200
+# Largest point count and ambient dimension the oracle takes, and the largest
+# fuzz --max-points. The oracle takes dense Smith forms of whole boundary
+# matrices, whose cost grows steeply and erratically: on a 2-vCPU x86-64 VM
+# (Python 3.11), 5 fuzz trials took at most 1.0 s at 200 points and 2.6 s at
+# 240 over 10 seeds, but 40 s for one seed of 3 at 320 points.
+ORACLE_POINTS_CAP = 200
 _FIELDS = (Coefficients.prime_field(2), Coefficients.prime_field(3),
            Coefficients.prime_field(5), Coefficients.rationals())
 
@@ -135,8 +136,7 @@ def _load(path: str) -> FilteredComplex:
         raise _Exit(1, str(exc)) from None
 
 
-def _load_valid(path: str) -> FilteredComplex:
-    c = _load(path)
+def _valid(c: FilteredComplex) -> FilteredComplex:
     report = validate(c)
     if not report.ok:
         for line in report.describe():
@@ -167,7 +167,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_reduce(args) -> int:
     coeff = _parse_coeff(args.coeff)
-    c = _load_valid(args.file)
+    c = _valid(_load(args.file))
     if coeff.is_integers:
         outcome = reduce_integer(c)
         if isinstance(outcome, Obstructed):
@@ -188,7 +188,7 @@ def _cmd_selector(args) -> int:
     coeffs = [_parse_coeff(t) for t in args.coeff.split(",") if t]
     if not coeffs:
         raise _Exit(USAGE_ERROR, "no coefficient systems given")
-    c = _load_valid(args.file)
+    c = _valid(_load(args.file))
     try:
         report = selector_report(c, coeffs)
     except NotAdmissibleError as exc:
@@ -215,7 +215,7 @@ def _cmd_selector(args) -> int:
 
 
 def _cmd_negate(args) -> int:
-    sys.stdout.write(serialize(negate(_load_valid(args.file))))
+    sys.stdout.write(serialize(negate(_valid(_load(args.file)))))
     return 0
 
 
@@ -227,7 +227,7 @@ def _cmd_restrict(args) -> int:
         lo, hi = map(parse_value, bounds)
     except ValueError:
         raise _Exit(USAGE_ERROR, f"bad window bounds {args.window!r}") from None
-    c = _load_valid(args.file)
+    c = _valid(_load(args.file))
     try:
         out = restrict(c, lo, hi)
     except ValueError as exc:
@@ -238,7 +238,11 @@ def _cmd_restrict(args) -> int:
 
 def _cmd_oracle(args) -> int:
     coeff = _parse_coeff(args.coeff)
-    c = _load_valid(args.file)
+    c = _load(args.file)
+    if max(c.n_points, c.ambient_dim) > ORACLE_POINTS_CAP:
+        raise _Exit(1, f"oracle takes at most {ORACLE_POINTS_CAP} points and ambient "
+                       f"dimension {ORACLE_POINTS_CAP}; got {c.n_points} and {c.ambient_dim}")
+    _valid(c)
     for k in range(c.ambient_dim + 1):
         h = homology(c, coeff, k)
         torsion = ",".join(str(d) for d in h.torsion) or "-"
@@ -389,9 +393,9 @@ def _battery(c: FilteredComplex, trial_seed: int) -> list[str]:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.trials < 1 or not 3 <= args.max_points <= FUZZ_POINTS_CAP:
+    if args.trials < 1 or not 3 <= args.max_points <= ORACLE_POINTS_CAP:
         raise _Exit(USAGE_ERROR, "need --trials >= 1 and "
-                                 f"3 <= --max-points <= {FUZZ_POINTS_CAP}")
+                                 f"3 <= --max-points <= {ORACLE_POINTS_CAP}")
     failures = 0
     for i in range(args.trials):
         trial_seed = args.seed * 1_000_003 + i

@@ -5,10 +5,12 @@ exact rational critical value, together with integer boundary operators. The
 boundary of degree k has one row per degree-(k-1) point and one column per
 degree-k point, both sorted by ascending critical value. It is stored as
 sparse columns, the nonzero ``(row, coeff)`` entries of each column with rows
-ascending; this module is the only one that knows that storage, and the dense
-row-major matrix is a view derived from it on demand. Nonzero entries must
-point strictly downward in value, all critical values must be pairwise
-distinct, and consecutive boundary operators must compose to zero.
+ascending, and the dense row-major matrix is a view derived from it on demand.
+``FilteredComplex.build`` is the entry for name-keyed input; the constructor
+takes the stored form, so an operation derives a complex from the columns of
+one already built. Nonzero entries must point strictly downward in value, all
+critical values must be pairwise distinct, and consecutive boundary operators
+must compose to zero.
 
 Results computed from a complex are memoized on it by :func:`memoized`, the
 only code that touches the per-complex store. The contract: keys never
@@ -91,7 +93,8 @@ class ValidationReport:
 class FilteredComplex:
     """Immutable-by-convention filtered Morse complex.
 
-    Use :meth:`build` to construct one; every operation returns a new complex.
+    Name-keyed input goes through :meth:`build`; the constructor takes the
+    stored form unchecked. Every operation returns a new complex.
     The boundary of degree k is stored as :meth:`columns`, one tuple of
     nonzero ``(row, coeff)`` entries per degree-k point in value order, rows
     ascending. :meth:`matrix` is a dense view of it, built on first use.
@@ -99,42 +102,36 @@ class FilteredComplex:
 
     __slots__ = ("ambient_dim", "_points", "_columns", "_by_name", "_position", "_cache")
 
-    def __init__(self, ambient_dim, points_by_degree, chains):
-        """``chains`` maps a point name to its nonzero boundary terms
-        ``{target_name: coeff}``, as checked by :meth:`build`."""
+    def __init__(self, ambient_dim, points_by_degree, columns):
+        """``points_by_degree`` maps each degree that has points to its
+        points sorted by (value, name); ``columns`` maps the same degrees to
+        one column per point, as :meth:`columns` returns it."""
         self.ambient_dim = ambient_dim
         self._points = points_by_degree
+        self._columns = columns
         self._by_name = {p.name: p for pts in points_by_degree.values() for p in pts}
         self._position = {p.name: i for pts in points_by_degree.values()
                           for i, p in enumerate(pts)}
-        self._columns = {
-            k: tuple(tuple(sorted((self._position[t], v)
-                                  for t, v in chains.get(p.name, {}).items()))
-                     for p in pts)
-            for k, pts in points_by_degree.items()}
         self._cache = {}
 
     @classmethod
     def build(cls, ambient_dim: int,
-              points: Iterable[tuple[str, int, object] | CriticalPoint],
+              points: Iterable[tuple[str, int, object]],
               boundaries: Mapping[str, Mapping[str, int]] | None = None,
               ) -> "FilteredComplex":
-        """Assemble a complex from point triples and a sparse boundary map.
+        """Assemble a complex from name-keyed input: point triples and a
+        sparse boundary map.
 
-        ``points`` yields ``(name, degree, value)`` triples (or CriticalPoint
-        instances); ``boundaries`` maps a point name to its boundary chain as
-        ``{target_name: coefficient}``. Structural errors (bad names, duplicate
-        names, degree-incompatible boundary targets) raise ValueError; the
-        semantic invariants are checked by :func:`validate`.
+        ``points`` yields ``(name, degree, value)`` triples; ``boundaries``
+        maps a point name to its boundary chain as ``{target_name:
+        coefficient}``. Structural errors (bad names, duplicate names,
+        degree-incompatible boundary targets) raise ValueError; the semantic
+        invariants are checked by :func:`validate`.
         """
         if int(ambient_dim) < 1:
             raise ValueError("ambient dimension must be a positive integer")
         pts = []
-        for item in points:
-            if isinstance(item, CriticalPoint):
-                name, degree, value = item.name, item.degree, item.value
-            else:
-                name, degree, value = item
+        for name, degree, value in points:
             if not _NAME_RE.match(name):
                 raise ValueError(f"bad point name {name!r}")
             pts.append(CriticalPoint(name, int(degree), Fraction(value)))
@@ -142,6 +139,7 @@ class FilteredComplex:
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise ValueError(f"duplicate point name {dup!r}")
+        by_name = {p.name: p for p in pts}
         by_degree: dict[int, list[CriticalPoint]] = {}
         for p in pts:
             by_degree.setdefault(p.degree, []).append(p)
@@ -149,13 +147,13 @@ class FilteredComplex:
             k: tuple(sorted(v, key=lambda p: (p.value, p.name)))
             for k, v in by_degree.items()
         }
-        by_name = {p.name: p for p in pts}
-        chains: dict[str, dict[str, int]] = {}
+        position = {p.name: i for v in points_by_degree.values() for i, p in enumerate(v)}
+        chains: dict[str, list[tuple[int, int]]] = {}
         for src, chain in (boundaries or {}).items():
             if src not in by_name:
                 raise ValueError(f"unknown point name {src!r} in boundary")
             k = by_name[src].degree
-            terms = chains[src] = {}
+            terms = chains[src] = []
             for tgt, coeff in chain.items():
                 if tgt not in by_name:
                     raise ValueError(f"unknown point name {tgt!r} in boundary of {src!r}")
@@ -166,8 +164,10 @@ class FilteredComplex:
                 if tk != k - 1:
                     raise ValueError(
                         f"boundary of {src!r} (degree {k}) hits {tgt!r} of degree {tk}")
-                terms[tgt] = coeff
-        return cls(ambient_dim, points_by_degree, chains)
+                terms.append((position[tgt], coeff))
+        columns = {k: tuple(tuple(sorted(chains.get(p.name, ()))) for p in v)
+                   for k, v in points_by_degree.items()}
+        return cls(ambient_dim, points_by_degree, columns)
 
     # -- accessors ----------------------------------------------------------
 
@@ -498,20 +498,24 @@ def negate(c: FilteredComplex) -> FilteredComplex:
     """The complex of the negated function: degree k -> ambient - k, value -> -value.
 
     Boundary matrices of the result are the anti-transposes of the originals
-    (transpose with both row and column order reversed). The result is
-    memoized on the (immutable) input.
+    (transpose with both row and column order reversed); points of tied value
+    keep their name order. The result is memoized on the (immutable) input.
     """
     n = c.ambient_dim
-    points = [(p.name, n - p.degree, -p.value)
-              for k in c.degrees() for p in c.points(k)]
-    boundaries: dict[str, dict[str, int]] = {}
+    points, position, columns = {}, {}, {}
     for k in c.degrees():
-        lower = c.points(k - 1)
-        # old entry (row m, column of p) becomes: boundary of (old lower m) hits p
-        for p, col in zip(c.points(k), c.columns(k)):
-            for m, v in col:
-                boundaries.setdefault(lower[m].name, {})[p.name] = v
-    return FilteredComplex.build(n, points, boundaries)
+        pts = c.points(k)
+        # reverse=True keeps the sort stable, so tied values stay in name order
+        order = sorted(range(len(pts)), key=lambda i: pts[i].value, reverse=True)
+        points[n - k] = tuple(CriticalPoint(pts[i].name, n - k, -pts[i].value) for i in order)
+        position[k] = dict(zip(order, range(len(pts))))
+        columns[n - k] = [[] for _ in pts]
+    for k in c.degrees():
+        for j, col in enumerate(c.columns(k)):
+            for m, v in col:  # entry (m, j) of D_k: old lower point m hits old point j
+                columns[n - k + 1][position[k - 1][m]].append((position[k][j], v))
+    return FilteredComplex(n, points, {k: tuple(tuple(sorted(col)) for col in cols)
+                                       for k, cols in columns.items()})
 
 
 def restrict(c: FilteredComplex, lo, hi) -> FilteredComplex:
@@ -523,17 +527,16 @@ def restrict(c: FilteredComplex, lo, hi) -> FilteredComplex:
         if p.value == lo or p.value == hi:
             raise EndpointCriticalError(
                 f"window endpoint {p.value} is the critical value of {p.name}")
-    keep = [p for p in c.all_points() if lo < p.value < hi]
-    kept_names = {p.name for p in keep}
-    boundaries = {}
-    for p in keep:
-        chain = {q.name: coeff for coeff, q in c.boundary_chain(p.name)
-                 if q.name in kept_names}
-        if chain:
-            boundaries[p.name] = chain
-    return FilteredComplex.build(c.ambient_dim,
-                                 [(p.name, p.degree, p.value) for p in keep],
-                                 boundaries)
+    kept = {k: [i for i, p in enumerate(c.points(k)) if lo < p.value < hi]
+            for k in c.degrees()}
+    new_row = {k: {old: new for new, old in enumerate(rows)} for k, rows in kept.items()}
+    points, columns = {}, {}
+    for k, cols in kept.items():
+        if cols:
+            points[k] = tuple(c.points(k)[i] for i in cols)
+            columns[k] = tuple(tuple((new_row[k - 1][m], v) for m, v in c.columns(k)[j]
+                                     if m in new_row[k - 1]) for j in cols)
+    return FilteredComplex(c.ambient_dim, points, columns)
 
 
 def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[int]]],
@@ -577,22 +580,21 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
 
     # D_k P_k column by column, then back-substitution against P_{k-1},
     # whose +-1 diagonal keeps every quotient an exact integer
-    boundaries: dict[str, dict[str, int]] = {}
+    columns = {k: c.columns(k) for k in c.degrees()}
     for k in c.degrees():
         lower = c.points(k - 1)
-        upper = c.points(k)
-        if not lower or not upper:
+        if not lower:
             continue
         Plow = {row: dict(terms) for row, terms in enumerate(P_cols(k - 1))}
         right = sparse_product_columns(c.columns(k), P_cols(k))
-        for col, (p, rest) in enumerate(zip(upper, right)):
+        out = []
+        for col, (p, rest) in enumerate(zip(c.points(k), right)):
             chain = back_substitute(rest, Plow)
             if rest:
                 row = max(rest)
                 raise InternalInconsistencyError(
                     f"degree {k} basis change leaves remainder {rest[row]} "
                     f"at row {row} ({lower[row].name}), column {col} ({p.name})")
-            if chain:
-                boundaries[p.name] = {lower[row].name: q for row, q in chain.items()}
-    points = [(p.name, p.degree, p.value) for k in c.degrees() for p in c.points(k)]
-    return FilteredComplex.build(c.ambient_dim, points, boundaries)
+            out.append(tuple(sorted(chain.items())))
+        columns[k] = tuple(out)
+    return FilteredComplex(c.ambient_dim, c._points, columns)

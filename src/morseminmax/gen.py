@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FilteredComplex, change_basis
+from .complexes import CriticalPoint, FilteredComplex, change_basis
 from .errors import InternalInconsistencyError
 
 FIXTURE_NAMES = ("laudenbach", "f0", "capitanio_v", "capitanio_vprime")
@@ -220,7 +220,7 @@ def perturb_values(c: FilteredComplex, eps, seed: int) -> FilteredComplex:
     """Shift every critical value by a seeded rational in [-eps, eps].
 
     Requires eps below half the minimum gap between critical values so the
-    value order (and hence the whole structure) is preserved.
+    value order, and with it every stored boundary column, is preserved.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -229,13 +229,7 @@ def perturb_values(c: FilteredComplex, eps, seed: int) -> FilteredComplex:
     if gap is not None and eps >= gap / 2:
         raise ValueError(f"perturbation {eps} too large: must be below {gap / 2}")
     rng = random.Random(("perturb", seed).__repr__())
-    points = []
-    for p in c.all_points():
-        shift = eps * Fraction(rng.randint(-16, 16), 16)
-        points.append((p.name, p.degree, p.value + shift))
-    boundaries = {}
-    for p in c.all_points():
-        chain = {q.name: coeff for coeff, q in c.boundary_chain(p.name)}
-        if chain:
-            boundaries[p.name] = chain
-    return FilteredComplex.build(c.ambient_dim, points, boundaries)
+    shift = {p.name: eps * Fraction(rng.randint(-16, 16), 16) for p in c.all_points()}
+    points = {k: tuple(CriticalPoint(p.name, k, p.value + shift[p.name]) for p in c.points(k))
+              for k in c.degrees()}
+    return FilteredComplex(c.ambient_dim, points, {k: c.columns(k) for k in c.degrees()})

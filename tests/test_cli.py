@@ -229,10 +229,28 @@ def test_fuzz_refuses_too_many_points(monkeypatch, capsys):
         raise AssertionError("no trial may start")
 
     monkeypatch.setattr(cli, "random_admissible_complex", unreachable)
-    for m in ("2", str(cli.FUZZ_POINTS_CAP + 1)):
+    for m in ("2", str(cli.ORACLE_POINTS_CAP + 1)):
         code, out, err = run(capsys, "fuzz", "--trials", "1", "--max-points", m)
         assert (code, out) == (3, "")
-        assert f"3 <= --max-points <= {cli.FUZZ_POINTS_CAP}" in err
+        assert f"3 <= --max-points <= {cli.ORACLE_POINTS_CAP}" in err
+
+
+def test_oracle_refuses_inputs_above_the_cap(tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("no rank may be taken")
+
+    monkeypatch.setattr(cli, "validate", unreachable)
+    monkeypatch.setattr(cli, "homology", unreachable)
+    huge_ambient = tmp_path / "ambient.cplx"
+    huge_ambient.write_text("ambient 1000000000000\npoint a 0 0\n")
+    many_points = tmp_path / "points.cplx"
+    many_points.write_text("ambient 2\n" + "".join(
+        f"point p{i} 0 {i}\n" for i in range(cli.ORACLE_POINTS_CAP + 1)))
+    for path, got in ((huge_ambient, "got 1 and 1000000000000"),
+                      (many_points, f"got {cli.ORACLE_POINTS_CAP + 1} and 2")):
+        code, out, err = run(capsys, "oracle", str(path), "--coeff", "f2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: oracle takes at most") and got in err
 
 
 def test_reduce_checks_every_derived_prime_field_form(monkeypatch, capsys):

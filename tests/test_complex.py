@@ -409,6 +409,13 @@ def test_negate_involution(laudenbach, f0):
         assert negate(negate(c)) == c
 
 
+def test_negate_orders_tied_values_by_name():
+    c = FilteredComplex.build(2, [("z", 0, -1), ("b", 1, 0), ("a", 1, 0)],
+                              {"a": {"z": 1}, "b": {"z": -1}})
+    assert serialize(negate(c)) == ("ambient 2\npoint a 1 0\npoint b 1 0\npoint z 2 1\n"
+                                    "boundary z : 1*a -1*b\n")
+
+
 def test_negate_single_point():
     c = single_point(2, 7, 5)
     dual = negate(c)
