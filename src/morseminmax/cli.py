@@ -7,6 +7,9 @@ Exit codes: 0 success, 1 validation failure of the input, 2 assertion failure
 from __future__ import annotations
 
 import argparse
+import marshal
+import os
+import signal
 import sys
 from fractions import Fraction
 
@@ -392,21 +395,84 @@ def _battery(c: FilteredComplex, trial_seed: int) -> list[str]:
     return failures
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _trial(args, i: int) -> list[str]:
+    """The FAIL lines of fuzz trial i."""
+    trial_seed = args.seed * 1_000_003 + i
+    c = random_admissible_complex(trial_seed, max_points=args.max_points)
+    try:
+        problems = _battery(c, trial_seed)
+    except InternalInconsistencyError as exc:
+        problems = [str(exc)]
+    return [f"FAIL trial={i} seed={trial_seed}: {msg}" for msg in problems]
+
+
+def _fork_shard(args, w: int, n: int, shards: dict) -> None:
+    """Fork a child that runs trials w, w+n, ... and writes one record per trial."""
+    r, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child leaves only through os._exit, and prints nothing
+        code = 1
+        try:
+            os.close(r)
+            for _, reader in shards.values():
+                reader.close()
+            with open(wfd, "wb") as out:
+                for i in range(w, args.trials, n):
+                    marshal.dump(_trial(args, i), out)
+                    out.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    shards[w] = pid, open(r, "rb")
+
+
 def _cmd_fuzz(args) -> int:
     if args.trials < 1 or not 3 <= args.max_points <= ORACLE_POINTS_CAP:
         raise _Exit(USAGE_ERROR, "need --trials >= 1 and "
                                  f"3 <= --max-points <= {ORACLE_POINTS_CAP}")
-    failures = 0
-    for i in range(args.trials):
-        trial_seed = args.seed * 1_000_003 + i
-        c = random_admissible_complex(trial_seed, max_points=args.max_points)
-        try:
-            problems = _battery(c, trial_seed)
-        except InternalInconsistencyError as exc:
-            problems = [str(exc)]
-        for msg in problems:
-            print(f"FAIL trial={i} seed={trial_seed}: {msg}")
-        failures += len(problems)
+    # shard w runs trials w, w+n, ...; the parent runs shard 0 and prints in order
+    n = min(_usable_cpus(), args.trials)
+    shards: dict[int, tuple] = {}  # w -> (pid, reader) of each live child
+    try:
+        for w in range(1, n):
+            _fork_shard(args, w, n, shards)
+        failures = 0
+        for i in range(args.trials):
+            w = i % n
+            if w == 0:
+                lines = _trial(args, i)
+            else:
+                try:
+                    lines = marshal.load(shards[w][1])
+                except (EOFError, ValueError):  # the child died before the record
+                    raise InternalInconsistencyError(
+                        f"fuzz worker {w} (first trial {w}) ended early") from None
+            for line in lines:
+                print(line)
+            failures += len(lines)
+        for w in range(1, n):
+            pid, reader = shards[w]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reader.close()
+            del shards[w]
+            if code:
+                raise InternalInconsistencyError(
+                    f"fuzz worker {w} (first trial {w}) exited with code {code}")
+    finally:
+        for pid, reader in shards.values():  # left only by an exception
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     print(f"fuzz trials={args.trials} seed={args.seed} "
           f"max_points={args.max_points} failures={failures}")
     return 0 if failures == 0 else 2

@@ -557,12 +557,13 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
             raise ValueError(f"transform for degree {k} is not {mk}x{mk}")
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                f = Fraction(v)
-                if f.denominator != 1:
-                    raise NonUnitDiagonalError(
-                        f"degree {k} transform has non-integer entry {v} at ({i},{j})")
-                rows[i][j] = int(f)
-                if rows[i][j] != 0 and i > j:
+                if type(v) is not int:
+                    f = Fraction(v)
+                    if f.denominator != 1:
+                        raise NonUnitDiagonalError(
+                            f"degree {k} transform has non-integer entry {v} at ({i},{j})")
+                    row[j] = int(f)
+                if row[j] != 0 and i > j:
                     raise NonTriangularError(
                         f"degree {k} transform mixes higher-value point into column {j}")
         for i in range(mk):

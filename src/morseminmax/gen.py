@@ -210,7 +210,7 @@ def random_admissible_complex(seed: int, max_points: int = 40) -> FilteredComple
 
 
 def min_value_gap(c: FilteredComplex) -> Fraction | None:
-    values = sorted(p.value for p in c.all_points())
+    values = [p.value for p in c.all_points()]  # ascending
     if len(values) < 2:
         return None
     return min(b - a for a, b in zip(values, values[1:]))

@@ -1,6 +1,8 @@
 import ast
 import io
+import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -314,6 +316,111 @@ def test_fuzz_reports_an_internal_inconsistency_with_its_seed(monkeypatch, capsy
     assert [line for line in out.splitlines() if "FAIL" in line] == [
         "FAIL trial=1 seed=1: planted"]
     assert "failures=1" in out
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``fuzz`` see n usable CPUs, so that it runs n shards."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@needs_fork
+def test_fuzz_output_is_the_same_on_any_number_of_workers(monkeypatch, capsys):
+    bad = random_admissible_complex(1, max_points=12)  # trial 1, run by a child
+    real = selector._minmax_int_at
+
+    def planted(c, lam):
+        if c == bad:
+            raise InternalInconsistencyError("planted")
+        return real(c, lam)
+
+    monkeypatch.setattr(selector, "_minmax_int_at", planted)
+    runs = []
+    for workers in (1, 2, 3):
+        use_cpus(monkeypatch, workers)
+        runs.append((run(capsys, "fuzz", "--trials", "7", "--seed", "0", "--max-points", "12"),
+                     run(capsys, "fuzz", "--trials", "5", "--seed", "4", "--max-points", "16")))
+    assert runs[0] == runs[1] == runs[2]
+    planted_run, clean_run = runs[0]
+    assert planted_run[0] == 2
+    assert [line for line in planted_run[1].splitlines() if "FAIL" in line] == [
+        "FAIL trial=1 seed=1: planted"]
+    assert clean_run[0] == 0 and clean_run[1].endswith("failures=0\n")
+
+
+@needs_fork
+def test_fuzz_forks_in_a_single_threaded_process(monkeypatch, capsys):
+    # Python 3.12+ warns when fork() meets other threads; -W error would not
+    # show it, because os.fork clears the error the warning raises
+    use_cpus(monkeypatch, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(capsys, "fuzz", "--trials", "2", "--seed", "0", "--max-points", "12")
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+
+
+@needs_fork
+def test_a_dead_fuzz_worker_is_an_internal_inconsistency(monkeypatch, capfd):
+    real = cli._battery
+
+    def dies_on_trial_one(c, trial_seed):
+        if trial_seed == 1:
+            raise RuntimeError("unexpected")
+        return real(c, trial_seed)
+
+    monkeypatch.setattr(cli, "_battery", dies_on_trial_one)
+    use_cpus(monkeypatch, 2)
+    code = main(["fuzz", "--trials", "4", "--seed", "0", "--max-points", "12"])
+    out, err = capfd.readouterr()  # the child's file descriptors included
+    assert (code, out) == (2, "")
+    assert err == "error: internal inconsistency: fuzz worker 1 (first trial 1) ended early\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_fuzz_worker_exiting_nonzero_is_an_internal_inconsistency(monkeypatch, capsys):
+    real_exit = os._exit
+    monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))  # only children exit
+    use_cpus(monkeypatch, 2)
+    code, out, err = run(capsys, "fuzz", "--trials", "3", "--seed", "0", "--max-points", "12")
+    assert (code, out) == (2, "")
+    assert err == ("error: internal inconsistency: "
+                   "fuzz worker 1 (first trial 1) exited with code 3\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_an_interrupted_fuzz_leaves_no_child(monkeypatch, capsys):
+    real = cli._trial
+
+    def interrupted(args, i):
+        if i == 3:  # a trial of the parent's own shard
+            raise KeyboardInterrupt
+        return real(args, i)
+
+    monkeypatch.setattr(cli, "_trial", interrupted)
+    use_cpus(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        main(["fuzz", "--trials", "9", "--seed", "0", "--max-points", "12"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fuzz_with_one_trial_forks_nothing(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("fuzz forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    use_cpus(monkeypatch, 3)
+    code, out, _ = run(capsys, "fuzz", "--trials", "1", "--seed", "5", "--max-points", "12")
+    assert code == 0
+    assert out == "fuzz trials=1 seed=5 max_points=12 failures=0\n"
 
 
 def test_reduce_reports_an_internal_inconsistency(monkeypatch, capsys):

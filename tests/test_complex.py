@@ -502,6 +502,15 @@ def test_change_basis_rejects_bad_transforms(laudenbach):
         change_basis(laudenbach, {2: [[1, 0], [0, 1]]})
 
 
+def test_change_basis_takes_integral_fractions_only(laudenbach):
+    as_ints = change_basis(laudenbach, {2: [[1, 2, 0], [0, 1, 0], [0, 0, 1]]})
+    assert change_basis(laudenbach, {2: [[1, Fraction(2, 1), 0], [0, 1, 0],
+                                         [0, 0, 1]]}) == as_ints
+    with pytest.raises(NonUnitDiagonalError,
+                       match=r"^degree 2 transform has non-integer entry 1/2 at \(0,1\)$"):
+        change_basis(laudenbach, {2: [[1, Fraction(1, 2), 0], [0, 1, 0], [0, 0, 1]]})
+
+
 def test_change_basis_preserves_validity_and_ranks():
     from morseminmax.coeff import Coefficients, RATIONALS
     from morseminmax.oracle import homology
