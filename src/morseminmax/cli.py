@@ -251,9 +251,8 @@ def _cmd_oracle(args) -> int:
         torsion = ",".join(str(d) for d in h.torsion) or "-"
         print(f"homology degree={k} rank={h.rank} torsion={torsion}")
     if coeff.is_field:
-        pairs = sorted(pairs_by_rank(c, coeff),
-                       key=lambda pr: (pr[0].value, pr[0].name))
-        for upper, lower in pairs:
+        order = {p.name: i for i, p in enumerate(c.all_points())}
+        for upper, lower in sorted(pairs_by_rank(c, coeff), key=lambda pr: order[pr[0].name]):
             print(f"pair upper={upper.name} lower={lower.name}")
         try:
             value, point = minmax_scan_field(c, coeff)

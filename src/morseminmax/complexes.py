@@ -6,11 +6,12 @@ boundary of degree k has one row per degree-(k-1) point and one column per
 degree-k point, both sorted by ascending critical value. It is stored as
 sparse columns, the nonzero ``(row, coeff)`` entries of each column with rows
 ascending, and the dense row-major matrix is a view derived from it on demand.
-``FilteredComplex.build`` is the entry for name-keyed input; the constructor
-takes the stored form, so an operation derives a complex from the columns of
-one already built. Nonzero entries must point strictly downward in value, all
-critical values must be pairwise distinct, and consecutive boundary operators
-must compose to zero.
+``FilteredComplex.build`` is the entry for name-keyed input and the only code
+that compares critical values: it gives each point an integer rank, which
+orders and ties as the values do. The constructor takes the stored form, ranks
+included, so an operation derives a complex from one already built and every
+later order test compares ranks. Nonzero entries must point strictly downward
+in value, values must be pairwise distinct, and d∘d must vanish.
 
 Results computed from a complex are memoized on it by :func:`memoized`, the
 only code that touches the per-complex store. The contract: keys never
@@ -24,6 +25,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .coeff import back_substitute, sparse_columns, sparse_product_columns
@@ -97,18 +99,21 @@ class FilteredComplex:
     stored form unchecked. Every operation returns a new complex.
     The boundary of degree k is stored as :meth:`columns`, one tuple of
     nonzero ``(row, coeff)`` entries per degree-k point in value order, rows
-    ascending. :meth:`matrix` is a dense view of it, built on first use.
+    ascending, beside their :meth:`ranks`. :meth:`matrix` is a dense view of
+    the columns, built on first use.
     """
 
-    __slots__ = ("ambient_dim", "_points", "_columns", "_by_name", "_position", "_cache")
+    __slots__ = ("ambient_dim", "_points", "_columns", "_ranks", "_by_name", "_position",
+                 "_cache")
 
-    def __init__(self, ambient_dim, points_by_degree, columns):
+    def __init__(self, ambient_dim, points_by_degree, columns, ranks):
         """``points_by_degree`` maps each degree that has points to its
-        points sorted by (value, name); ``columns`` maps the same degrees to
-        one column per point, as :meth:`columns` returns it."""
+        points sorted by (value, name); ``columns`` and ``ranks`` map the
+        same degrees to one entry per point, as their accessors return it."""
         self.ambient_dim = ambient_dim
         self._points = points_by_degree
         self._columns = columns
+        self._ranks = ranks
         self._by_name = {p.name: p for pts in points_by_degree.values() for p in pts}
         self._position = {p.name: i for pts in points_by_degree.values()
                           for i, p in enumerate(pts)}
@@ -134,19 +139,24 @@ class FilteredComplex:
         for name, degree, value in points:
             if not _NAME_RE.match(name):
                 raise ValueError(f"bad point name {name!r}")
-            pts.append(CriticalPoint(name, int(degree), Fraction(value)))
-        names = [p.name for p in pts]
-        if len(set(names)) != len(names):
-            dup = next(n for n in names if names.count(n) > 1)
+            value = value if type(value) is Fraction else Fraction(value)
+            pts.append(CriticalPoint(name, int(degree), value))
+        by_name = {p.name: p for p in pts}  # the last point of each name
+        if len(by_name) != len(pts):
+            dup = next(p.name for p in pts if by_name[p.name] is not p)
             raise ValueError(f"duplicate point name {dup!r}")
-        by_name = {p.name: p for p in pts}
-        by_degree: dict[int, list[CriticalPoint]] = {}
-        for p in pts:
-            by_degree.setdefault(p.degree, []).append(p)
-        points_by_degree = {
-            k: tuple(sorted(v, key=lambda p: (p.value, p.name)))
-            for k, v in by_degree.items()
-        }
+        # The one comparison of values: sorted by name, then stably by value,
+        # one Fraction.__lt__ a step. A rank counts the points of lower value.
+        pts.sort(key=attrgetter("name"))
+        pts.sort(key=attrgetter("value"))
+        by_degree: dict[int, list[tuple[int, CriticalPoint]]] = {}
+        for i, p in enumerate(pts):
+            if not i or p.value != pts[i - 1].value:
+                rank = i
+            by_degree.setdefault(p.degree, []).append((rank, p))
+        ranks, points_by_degree = {}, {}
+        for k, v in by_degree.items():
+            ranks[k], points_by_degree[k] = zip(*v)
         position = {p.name: i for v in points_by_degree.values() for i, p in enumerate(v)}
         chains: dict[str, list[tuple[int, int]]] = {}
         for src, chain in (boundaries or {}).items():
@@ -167,7 +177,7 @@ class FilteredComplex:
                 terms.append((position[tgt], coeff))
         columns = {k: tuple(tuple(sorted(chains.get(p.name, ()))) for p in v)
                    for k, v in points_by_degree.items()}
-        return cls(ambient_dim, points_by_degree, columns)
+        return cls(ambient_dim, points_by_degree, columns, ranks)
 
     # -- accessors ----------------------------------------------------------
 
@@ -182,6 +192,10 @@ class FilteredComplex:
         per degree-``degree`` point, its nonzero ``(row, coeff)`` entries, rows
         ascending. Empty for a degree with no points."""
         return self._columns.get(degree, ())
+
+    def ranks(self, degree: int) -> tuple[int, ...]:
+        """Per point of :meth:`points`, an int that orders and ties as the values do."""
+        return self._ranks.get(degree, ())
 
     @memoized
     def matrix(self, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -204,11 +218,14 @@ class FilteredComplex:
 
         The order is computed once per complex; each call returns a new list.
         """
-        return list(self._value_order())
+        return list(self._value_order()[1])
 
     @memoized
-    def _value_order(self) -> tuple[CriticalPoint, ...]:
-        return tuple(sorted(self._by_name.values(), key=lambda p: (p.value, p.name)))
+    def _value_order(self) -> tuple[tuple[int, ...], tuple[CriticalPoint, ...]]:
+        """Ranks and points of all points by (rank, name): int and str comparisons."""
+        order = sorted((r, p.name, p) for k, pts in self._points.items()
+                       for r, p in zip(self._ranks[k], pts))
+        return tuple(r for r, _, _ in order), tuple(p for *_, p in order)
 
     @property
     def n_points(self) -> int:
@@ -280,7 +297,8 @@ def parse_value(tok: str) -> Fraction:
     denominator = _integer(m.group(2) or "1") if m else 0
     if denominator == 0:
         raise ValueError(f"bad critical value {tok!r}", tok)
-    return Fraction(_integer(m.group(1)), denominator)
+    numerator = _integer(m.group(1))
+    return Fraction(numerator, denominator) if m.group(2) else Fraction(numerator)
 
 
 def _decode(data: bytes) -> str:
@@ -307,16 +325,15 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
     boundaries: dict[str, dict[str, int]] = {}
     declared: dict[str, int] = {}
 
-    def err(msg, lineno, line, token=None):
-        column = line.find(token) + 1 if token and token in line else 1
+    def err(msg, token=None):  # located in the line being read, ``lineno`` and ``raw``
+        column = raw.find(token) + 1 if token and token in raw else 1
         raise ParseError(msg, lineno, column)
 
-    def num(tok, lineno, line, read=_integer):
+    def num(tok, read=_integer):
         try:
             return read(tok)
         except ValueError as exc:
-            message, token = exc.args
-            err(message, lineno, line, token)
+            err(*exc.args)  # its message and the part of ``tok`` at fault
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -326,58 +343,55 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
         head = fields[0]
         if ambient is None:
             if head != "ambient" or len(fields) != 2:
-                err("expected 'ambient <positive integer>' as the first line",
-                    lineno, raw, head)
-            ambient = num(fields[1], lineno, raw) if _NAT_RE.match(fields[1]) else 0
+                err("expected 'ambient <positive integer>' as the first line", head)
+            ambient = num(fields[1]) if _NAT_RE.match(fields[1]) else 0
             if ambient < 1:
-                err(f"ambient dimension must be a positive integer, got {fields[1]!r}",
-                    lineno, raw, fields[1])
+                err(f"ambient dimension must be a positive integer, got {fields[1]!r}", fields[1])
             continue
         if head == "ambient":
-            err("duplicate ambient line", lineno, raw, head)
+            err("duplicate ambient line", head)
         elif head == "point":
             if len(fields) != 4:
-                err("expected 'point <name> <degree> <value>'", lineno, raw, head)
+                err("expected 'point <name> <degree> <value>'", head)
             _, name, deg_tok, val_tok = fields
             if not _NAME_RE.match(name):
-                err(f"bad point name {name!r}", lineno, raw, name)
+                err(f"bad point name {name!r}", name)
             if name in declared:
-                err(f"duplicate point name {name!r}", lineno, raw, name)
+                err(f"duplicate point name {name!r}", name)
             if not _INT_RE.match(deg_tok):
-                err(f"degree must be an integer, got {deg_tok!r}", lineno, raw, deg_tok)
-            degree = num(deg_tok, lineno, raw)
-            points.append((name, degree, num(val_tok, lineno, raw, parse_value)))
+                err(f"degree must be an integer, got {deg_tok!r}", deg_tok)
+            degree = num(deg_tok)
+            points.append((name, degree, num(val_tok, parse_value)))
             declared[name] = degree
         elif head == "boundary":
             if len(fields) < 4 or fields[2] != ":":
-                err("expected 'boundary <name> : <c>*<name> ...'", lineno, raw, head)
+                err("expected 'boundary <name> : <c>*<name> ...'", head)
             name = fields[1]
             if name not in declared:
-                err(f"unknown point name {name!r}", lineno, raw, name)
+                err(f"unknown point name {name!r}", name)
             if name in boundaries:
-                err(f"duplicate boundary line for {name!r}", lineno, raw, name)
+                err(f"duplicate boundary line for {name!r}", name)
             chain: dict[str, int] = {}
             for tok in fields[3:]:
                 m = _TERM_RE.match(tok)
                 if not m:
                     if "*" in tok and not _INT_RE.match(tok.split("*", 1)[0]):
-                        err(f"non-integer coefficient in {tok!r}", lineno, raw, tok)
-                    err(f"bad boundary term {tok!r}", lineno, raw, tok)
-                coeff, tgt = num(m.group(1), lineno, raw), m.group(2)
+                        err(f"non-integer coefficient in {tok!r}", tok)
+                    err(f"bad boundary term {tok!r}", tok)
+                coeff, tgt = num(m.group(1)), m.group(2)
                 if coeff == 0:
-                    err(f"zero coefficient on {tgt!r}", lineno, raw, tok)
+                    err(f"zero coefficient on {tgt!r}", tok)
                 if tgt not in declared:
-                    err(f"unknown point name {tgt!r}", lineno, raw, tgt)
+                    err(f"unknown point name {tgt!r}", tgt)
                 if declared[tgt] != declared[name] - 1:
                     err(f"boundary of {name!r} hits {tgt!r} of degree "
-                        f"{declared[tgt]}, expected {declared[name] - 1}",
-                        lineno, raw, tgt)
+                        f"{declared[tgt]}, expected {declared[name] - 1}", tgt)
                 if tgt in chain:
-                    err(f"duplicate boundary term for {tgt!r}", lineno, raw, tok)
+                    err(f"duplicate boundary term for {tgt!r}", tok)
                 chain[tgt] = coeff
             boundaries[name] = chain
         else:
-            err(f"unknown directive {head!r}", lineno, raw, head)
+            err(f"unknown directive {head!r}", head)
     if ambient is None:
         raise ParseError("missing 'ambient' line", 1, 1)
     c = FilteredComplex.build(ambient, points, boundaries)
@@ -426,7 +440,7 @@ def _admissibility(c: FilteredComplex):
     if torsion_degs:
         detail = ", ".join(f"H{k}~{list(t)}" for k, t in sorted(torsion_degs.items()))
         findings.append(Violation("torsion", f"integral torsion [{detail}]"))
-    lam = ones[0] if len(ones) == 1 and not bad and not torsion_degs else None
+    lam = None if findings else ones[0]
     return lam, tuple(findings)
 
 
@@ -434,20 +448,20 @@ def _admissibility(c: FilteredComplex):
 def _violations(c: FilteredComplex) -> tuple[Violation, ...]:
     """Structural findings (degree, distinct values, ascent, d∘d), memoized."""
     violations: list[Violation] = []
-    for p in c.all_points():
-        if p.degree < 0 or p.degree > c.ambient_dim:
+    ranks, order = c._value_order()
+    for p in order:
+        if not 0 <= p.degree <= c.ambient_dim:
             violations.append(Violation(
                 "bad_degree", f"{p.name} has degree {p.degree}, ambient {c.ambient_dim}"))
-    pts = c.all_points()
-    for a, b in zip(pts, pts[1:]):
-        if a.value == b.value:
+    for ra, rb, a, b in zip(ranks, ranks[1:], order, order[1:]):
+        if ra == rb:
             violations.append(Violation(
                 "duplicate_value", f"{a.name} and {b.name} share value {a.value}"))
     for k in c.degrees():
-        lower = c.points(k - 1)
-        for p, terms in zip(c.points(k), c.columns(k)):
+        lower, lower_ranks = c.points(k - 1), c.ranks(k - 1)
+        for p, rank, terms in zip(c.points(k), c.ranks(k), c.columns(k)):
             for row, _ in terms:
-                if p.value <= lower[row].value:
+                if rank <= lower_ranks[row]:
                     violations.append(Violation(
                         "ascent_violation",
                         f"boundary of {p.name} (value {p.value}) hits "
@@ -499,15 +513,17 @@ def negate(c: FilteredComplex) -> FilteredComplex:
 
     Boundary matrices of the result are the anti-transposes of the originals
     (transpose with both row and column order reversed); points of tied value
-    keep their name order. The result is memoized on the (immutable) input.
+    keep their name order, and rank r becomes ``n_points - 1 - r``. The result
+    is memoized on the (immutable) input.
     """
-    n = c.ambient_dim
-    points, position, columns = {}, {}, {}
+    n, top = c.ambient_dim, c.n_points - 1
+    points, ranks, position, columns = {}, {}, {}, {}
     for k in c.degrees():
-        pts = c.points(k)
+        pts, rk = c.points(k), c.ranks(k)
         # reverse=True keeps the sort stable, so tied values stay in name order
-        order = sorted(range(len(pts)), key=lambda i: pts[i].value, reverse=True)
+        order = sorted(range(len(pts)), key=rk.__getitem__, reverse=True)
         points[n - k] = tuple(CriticalPoint(pts[i].name, n - k, -pts[i].value) for i in order)
+        ranks[n - k] = tuple(top - rk[i] for i in order)
         position[k] = dict(zip(order, range(len(pts))))
         columns[n - k] = [[] for _ in pts]
     for k in c.degrees():
@@ -515,7 +531,7 @@ def negate(c: FilteredComplex) -> FilteredComplex:
             for m, v in col:  # entry (m, j) of D_k: old lower point m hits old point j
                 columns[n - k + 1][position[k - 1][m]].append((position[k][j], v))
     return FilteredComplex(n, points, {k: tuple(tuple(sorted(col)) for col in cols)
-                                       for k, cols in columns.items()})
+                                       for k, cols in columns.items()}, ranks)
 
 
 def restrict(c: FilteredComplex, lo, hi) -> FilteredComplex:
@@ -527,16 +543,18 @@ def restrict(c: FilteredComplex, lo, hi) -> FilteredComplex:
         if p.value == lo or p.value == hi:
             raise EndpointCriticalError(
                 f"window endpoint {p.value} is the critical value of {p.name}")
-    kept = {k: [i for i, p in enumerate(c.points(k)) if lo < p.value < hi]
-            for k in c.degrees()}
-    new_row = {k: {old: new for new, old in enumerate(rows)} for k, rows in kept.items()}
-    points, columns = {}, {}
-    for k, cols in kept.items():
-        if cols:
-            points[k] = tuple(c.points(k)[i] for i in cols)
-            columns[k] = tuple(tuple((new_row[k - 1][m], v) for m, v in c.columns(k)[j]
-                                     if m in new_row[k - 1]) for j in cols)
-    return FilteredComplex(c.ambient_dim, points, columns)
+    points, ranks, columns, span = {}, {}, {}, {}
+    # each degree is in value order, so the window keeps a slice [a, b) of it;
+    # degrees ascend, so the slice of the rows, span[k - 1], is already known
+    for k in c.degrees():
+        pts = c.points(k)
+        a, b = span[k] = sum(p.value < lo for p in pts), sum(p.value < hi for p in pts)
+        if a < b:
+            first, end = span.get(k - 1, (0, 0))
+            points[k], ranks[k] = pts[a:b], c.ranks(k)[a:b]
+            columns[k] = tuple(tuple((m - first, v) for m, v in col if first <= m < end)
+                               for col in c.columns(k)[a:b])
+    return FilteredComplex(c.ambient_dim, points, columns, ranks)
 
 
 def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[int]]],
@@ -598,4 +616,4 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
                     f"at row {row} ({lower[row].name}), column {col} ({p.name})")
             out.append(tuple(sorted(chain.items())))
         columns[k] = tuple(out)
-    return FilteredComplex(c.ambient_dim, c._points, columns)
+    return FilteredComplex(c.ambient_dim, c._points, columns, c._ranks)

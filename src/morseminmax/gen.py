@@ -220,7 +220,7 @@ def perturb_values(c: FilteredComplex, eps, seed: int) -> FilteredComplex:
     """Shift every critical value by a seeded rational in [-eps, eps].
 
     Requires eps below half the minimum gap between critical values so the
-    value order, and with it every stored boundary column, is preserved.
+    value order, and with it every stored boundary column and rank, is kept.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -232,4 +232,5 @@ def perturb_values(c: FilteredComplex, eps, seed: int) -> FilteredComplex:
     shift = {p.name: eps * Fraction(rng.randint(-16, 16), 16) for p in c.all_points()}
     points = {k: tuple(CriticalPoint(p.name, k, p.value + shift[p.name]) for p in c.points(k))
               for k in c.degrees()}
-    return FilteredComplex(c.ambient_dim, points, {k: c.columns(k) for k in c.degrees()})
+    return FilteredComplex(c.ambient_dim, points, {k: c.columns(k) for k in c.degrees()},
+                           {k: c.ranks(k) for k in c.degrees()})

@@ -134,3 +134,15 @@ def _add(target, a, source):
             target[name] = w
         else:
             target.pop(name, None)
+
+
+def assert_ranks_follow_values(c):
+    """The stored ranks of ``c`` tie and order exactly as its values do,
+    across all degrees, one integer rank per point."""
+    for k in c.degrees():
+        assert len(c.ranks(k)) == len(c.points(k)), k
+        assert all(type(r) is int for r in c.ranks(k)), k
+    pairs = sorted(((p.value, r) for k in c.degrees() for p, r in zip(c.points(k), c.ranks(k))),
+                   key=lambda vr: vr[0])
+    for (v, r), (w, s) in zip(pairs, pairs[1:]):
+        assert r == s if v == w else r < s, (v, r, w, s)

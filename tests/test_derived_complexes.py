@@ -4,6 +4,8 @@
 complex from the stored columns of one already built. Each reference below
 instead reads the input as named points and ``{name: {name: coeff}}`` chains
 and rebuilds through ``build``, which sorts every degree by (value, name).
+A derived complex also carries the value ranks it derives from its input,
+without comparing values; they must order and tie as its values do.
 """
 
 import random
@@ -21,7 +23,7 @@ from morseminmax.gen import (
     single_point,
 )
 
-from helpers import hidden_laudenbach, inverse_conjugate
+from helpers import assert_ranks_follow_values, hidden_laudenbach, inverse_conjugate
 
 
 INPUTS = {
@@ -132,10 +134,12 @@ REFERENCES = {negate: reference_negate, restrict: reference_restrict,
 @pytest.mark.parametrize("label", list(INPUTS))
 def test_derived_complex_matches_a_name_keyed_rebuild(label):
     c = INPUTS[label]()
+    assert_ranks_follow_values(c)
     for what, op, args in _derivations(c, random.Random(label)):
         got, want = op(c, *args), REFERENCES[op](c, *args)
         assert got == want, (label, what)
         assert serialize(got) == serialize(want), (label, what)
+        assert_ranks_follow_values(got)
     if label == "tied_values":
         with pytest.raises(ValueError):
             perturb_values(c, 0, seed=0)
