@@ -139,9 +139,8 @@ def sparse_product_columns(A_cols, B_cols, p: int | None = None):
         for t, b in terms:
             for i, a in A_cols[t]:
                 out[i] = out.get(i, 0) + a * b
-        if p is not None:
-            out = {i: v % p for i, v in out.items()}
-        yield {i: v for i, v in out.items() if v}
+        yield ({i: r for i, v in out.items() if (r := v % p)} if p is not None
+               else {i: v for i, v in out.items() if v})
 
 
 def sparse_subtract(col: dict, q, other, p: int | None = None) -> None:

@@ -22,10 +22,9 @@ and a call that raises stores nothing.
 from __future__ import annotations
 
 import functools
-import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .coeff import back_substitute, sparse_columns, sparse_product_columns
@@ -36,10 +35,10 @@ from .errors import (
     NonTriangularError,
     NonUnitDiagonalError,
     NotAdmissibleError,
-    ParseError,
 )
+# parse_value is part of this module's interface
+from .grammar import NAME_RE, parse_value, read_complex
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _MISSING = object()
 
 
@@ -135,47 +134,47 @@ class FilteredComplex:
         """
         if int(ambient_dim) < 1:
             raise ValueError("ambient dimension must be a positive integer")
-        pts = []
+        keyed = []  # (floor of value, value, name, degree) per point
         for name, degree, value in points:
-            if not _NAME_RE.match(name):
+            if not NAME_RE.match(name):
                 raise ValueError(f"bad point name {name!r}")
             value = value if type(value) is Fraction else Fraction(value)
-            pts.append(CriticalPoint(name, int(degree), value))
-        by_name = {p.name: p for p in pts}  # the last point of each name
-        if len(by_name) != len(pts):
-            dup = next(p.name for p in pts if by_name[p.name] is not p)
+            keyed.append((value.numerator // value.denominator, value, name, int(degree)))
+        by_name = {key[2]: key for key in keyed}  # the last point of each name
+        if len(by_name) != len(keyed):
+            dup = next(key[2] for key in keyed if by_name[key[2]] is not key)
             raise ValueError(f"duplicate point name {dup!r}")
-        # The one comparison of values: sorted by name, then stably by value,
-        # one Fraction.__lt__ a step. A rank counts the points of lower value.
-        pts.sort(key=attrgetter("name"))
-        pts.sort(key=attrgetter("value"))
-        by_degree: dict[int, list[tuple[int, CriticalPoint]]] = {}
-        for i, p in enumerate(pts):
-            if not i or p.value != pts[i - 1].value:
-                rank = i
-            by_degree.setdefault(p.degree, []).append((rank, p))
+        # The one comparison of values, exact and integers first: two Fractions
+        # are compared only when their floors are equal. A rank counts the
+        # points of lower value.
+        keyed.sort()
+        by_degree = defaultdict(list)  # degree -> (rank, point) in value order
+        floor = value = None
+        for i, (f, v, name, degree) in enumerate(keyed):
+            if f != floor or v != value:
+                rank, floor, value = i, f, v
+            by_degree[degree].append((rank, CriticalPoint(name, degree, v)))
         ranks, points_by_degree = {}, {}
         for k, v in by_degree.items():
             ranks[k], points_by_degree[k] = zip(*v)
-        position = {p.name: i for v in points_by_degree.values() for i, p in enumerate(v)}
-        chains: dict[str, list[tuple[int, int]]] = {}
+        position = {k: {p.name: i for i, p in enumerate(v)} for k, v in points_by_degree.items()}
+        chains = {}
         for src, chain in (boundaries or {}).items():
             if src not in by_name:
                 raise ValueError(f"unknown point name {src!r} in boundary")
-            k = by_name[src].degree
-            terms = chains[src] = []
-            for tgt, coeff in chain.items():
+            k = by_name[src][3]
+            rows = position.get(k - 1, {})
+            try:  # an unknown name fails at by_name; a nonzero term of another degree at rows
+                chains[src] = tuple(sorted([(rows[t], coeff) for t, c in chain.items()
+                                            if by_name[t] and (coeff := int(c))]))
+            except KeyError as exc:
+                tgt = exc.args[0]
                 if tgt not in by_name:
-                    raise ValueError(f"unknown point name {tgt!r} in boundary of {src!r}")
-                coeff = int(coeff)
-                if coeff == 0:
-                    continue
-                tk = by_name[tgt].degree
-                if tk != k - 1:
                     raise ValueError(
-                        f"boundary of {src!r} (degree {k}) hits {tgt!r} of degree {tk}")
-                terms.append((position[tgt], coeff))
-        columns = {k: tuple(tuple(sorted(chains.get(p.name, ()))) for p in v)
+                        f"unknown point name {tgt!r} in boundary of {src!r}") from None
+                raise ValueError(f"boundary of {src!r} (degree {k}) hits {tgt!r} "
+                                 f"of degree {by_name[tgt][3]}") from None
+        columns = {k: tuple(chains.get(p.name, ()) for p in v)
                    for k, v in points_by_degree.items()}
         return cls(ambient_dim, points_by_degree, columns, ranks)
 
@@ -275,126 +274,15 @@ def serialize(c: FilteredComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NAT_RE = re.compile(r"[0-9]+\Z")
-_INT_RE = re.compile(r"-?[0-9]+\Z")
-_VALUE_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
-_TERM_RE = re.compile(r"(-?[0-9]+)\*([A-Za-z0-9_]+)\Z")
-
-
-def _integer(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:  # more digits than int() converts
-        raise ValueError(f"number {tok[:12]}... is too long ({len(tok)} characters)",
-                         tok) from None
-
-
-def parse_value(tok: str) -> Fraction:
-    """A value in the file grammar: an integer or ``p/q`` with q > 0, and no
-    decimals or exponents. A ValueError's args are its message and the part
-    of ``tok`` at fault."""
-    m = _VALUE_RE.match(tok)
-    denominator = _integer(m.group(2) or "1") if m else 0
-    if denominator == 0:
-        raise ValueError(f"bad critical value {tok!r}", tok)
-    numerator = _integer(m.group(1))
-    return Fraction(numerator, denominator) if m.group(2) else Fraction(numerator)
-
-
-def _decode(data: bytes) -> str:
-    """UTF-8 text of ``data``; a bad byte is a ParseError at its line and column."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # a stand-in character at the bad byte takes its line and column
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
-        raise ParseError(f"input is not UTF-8 ({exc.reason})",
-                         len(lines), len(lines[-1])) from None
-
-
 def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
-    """Parse the line-oriented complex format; see :func:`serialize`.
+    """Parse the line-oriented complex format; see :func:`serialize` and
+    :mod:`grammar`.
 
     Raises ParseError (with line/column) on malformed input. With ``check``
     (the default) the parsed complex is validated and InvalidComplexError is
     raised when any complex invariant fails.
     """
-    text = _decode(data) if isinstance(data, (bytes, bytearray)) else data
-    ambient: int | None = None
-    points: list[tuple[str, int, Fraction]] = []
-    boundaries: dict[str, dict[str, int]] = {}
-    declared: dict[str, int] = {}
-
-    def err(msg, token=None):  # located in the line being read, ``lineno`` and ``raw``
-        column = raw.find(token) + 1 if token and token in raw else 1
-        raise ParseError(msg, lineno, column)
-
-    def num(tok, read=_integer):
-        try:
-            return read(tok)
-        except ValueError as exc:
-            err(*exc.args)  # its message and the part of ``tok`` at fault
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        head = fields[0]
-        if ambient is None:
-            if head != "ambient" or len(fields) != 2:
-                err("expected 'ambient <positive integer>' as the first line", head)
-            ambient = num(fields[1]) if _NAT_RE.match(fields[1]) else 0
-            if ambient < 1:
-                err(f"ambient dimension must be a positive integer, got {fields[1]!r}", fields[1])
-            continue
-        if head == "ambient":
-            err("duplicate ambient line", head)
-        elif head == "point":
-            if len(fields) != 4:
-                err("expected 'point <name> <degree> <value>'", head)
-            _, name, deg_tok, val_tok = fields
-            if not _NAME_RE.match(name):
-                err(f"bad point name {name!r}", name)
-            if name in declared:
-                err(f"duplicate point name {name!r}", name)
-            if not _INT_RE.match(deg_tok):
-                err(f"degree must be an integer, got {deg_tok!r}", deg_tok)
-            degree = num(deg_tok)
-            points.append((name, degree, num(val_tok, parse_value)))
-            declared[name] = degree
-        elif head == "boundary":
-            if len(fields) < 4 or fields[2] != ":":
-                err("expected 'boundary <name> : <c>*<name> ...'", head)
-            name = fields[1]
-            if name not in declared:
-                err(f"unknown point name {name!r}", name)
-            if name in boundaries:
-                err(f"duplicate boundary line for {name!r}", name)
-            chain: dict[str, int] = {}
-            for tok in fields[3:]:
-                m = _TERM_RE.match(tok)
-                if not m:
-                    if "*" in tok and not _INT_RE.match(tok.split("*", 1)[0]):
-                        err(f"non-integer coefficient in {tok!r}", tok)
-                    err(f"bad boundary term {tok!r}", tok)
-                coeff, tgt = num(m.group(1)), m.group(2)
-                if coeff == 0:
-                    err(f"zero coefficient on {tgt!r}", tok)
-                if tgt not in declared:
-                    err(f"unknown point name {tgt!r}", tgt)
-                if declared[tgt] != declared[name] - 1:
-                    err(f"boundary of {name!r} hits {tgt!r} of degree "
-                        f"{declared[tgt]}, expected {declared[name] - 1}", tgt)
-                if tgt in chain:
-                    err(f"duplicate boundary term for {tgt!r}", tok)
-                chain[tgt] = coeff
-            boundaries[name] = chain
-        else:
-            err(f"unknown directive {head!r}", head)
-    if ambient is None:
-        raise ParseError("missing 'ambient' line", 1, 1)
-    c = FilteredComplex.build(ambient, points, boundaries)
+    c = FilteredComplex.build(*read_complex(data))
     if check:
         report = validate(c)
         if not report.ok:
