@@ -31,7 +31,10 @@ A certificate over Z is one over every field: the change of coefficients
 Z -> Q or Z -> F_p keeps the basis change triangular with a unit diagonal
 and the normal form exact. So a certified complex's field forms are its
 integer form (Q) or that form with its basis reduced mod p and checked
-mod p (F_p). Only an obstructed complex is reduced once per field.
+mod p (F_p). Only an obstructed complex is reduced once per field. Callers
+that read only the free points (``betti``, the field selectors) take them
+from :func:`free_points`, which on a certified complex is the verified
+integer form's own free tuple, so no F_p form is built for them.
 """
 
 from __future__ import annotations
@@ -294,6 +297,23 @@ def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
     return Certified(form=_assemble(c, per_degree, INTEGERS))
 
 
+def free_points(c: FilteredComplex, field: Coefficients) -> tuple[CriticalPoint, ...]:
+    """The free points of the canonical form of c over a field.
+
+    A certified complex has the same pairing over every field, so its free
+    points are read off the integer form, already verified over Z, and no
+    field form is built. An obstructed complex is reduced over the field by
+    :func:`reduce`, and that form is verified as always.
+    """
+    if field.is_integers:
+        raise ValueError("use reduce_integer for integer coefficients")
+    outcome = reduce_integer(c)
+    if isinstance(outcome, Certified):
+        return outcome.form.free
+    return reduce(c, field).free
+
+
 def betti(c: FilteredComplex, field: Coefficients, k: int) -> int:
-    """Number of free points of degree k, i.e. the field Betti number."""
-    return len(reduce(c, field).free_of_degree(k))
+    """Number of free points of degree k, i.e. the field Betti number, read
+    off :func:`free_points`: the integer form's on a certified complex."""
+    return sum(p.degree == k for p in free_points(c, field))

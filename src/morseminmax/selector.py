@@ -1,12 +1,15 @@
 """Minmax and maxmin critical-value selectors over every coefficient system.
 
 Over a field the two selectors agree and sit at the unique free critical
-point of the global-index degree. Over the integers the minmax is the first
-filtration level whose prefix carries an integer cycle generating the global
-rank-one homology. It is read off two integer column reductions: the
-memoized one of the boundary into the global degree that certifies the
-complex, whose zeroed columns are an echelon cycle basis, and one of the
-boundaries out of it written in that basis. The maxmin is always
+point of the global-index degree. The free points come from
+``barannikov.free_points``: on a certified complex they are the integer
+form's, which hold over every field, so no field form is built; an
+obstructed complex is reduced over each field. Over the integers the
+minmax is the first filtration level whose prefix carries an integer cycle
+generating the global rank-one homology. It is read off two integer column
+reductions: the memoized one of the boundary into the global degree that
+certifies the complex, whose zeroed columns are an echelon cycle basis, and
+one of the boundaries out of it written in that basis. The maxmin is always
 evaluated through the negated complex, so minmax and maxmin can genuinely
 differ over the integers.
 """
@@ -16,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .barannikov import _integer_reduction, _reduce_degree, reduce as _reduce
+from .barannikov import (Certified, _integer_reduction, _reduce_degree, free_points,
+                         reduce_integer)
 from .coeff import INTEGERS, Coefficients, back_substitute
 from .complexes import CriticalPoint, FilteredComplex, global_index, memoized, negate
 from .errors import InternalInconsistencyError
@@ -33,11 +37,13 @@ def minmax_field(c: FilteredComplex, field: Coefficients) -> Selected:
 
 @memoized
 def _minmax_field_at(c: FilteredComplex, field: Coefficients, lam: int) -> Selected:
-    frees = _reduce(c, field).free_of_degree(lam)
+    frees = [p for p in free_points(c, field) if p.degree == lam]
     if len(frees) != 1:
+        source = ("the integer certificate" if isinstance(reduce_integer(c), Certified)
+                  else f"the {field.token()} reduction")
         raise InternalInconsistencyError(
-            f"expected one free point of degree {lam}, found "
-            f"{[p.name for p in frees]}")
+            f"expected one free point of degree {lam} over {field.token()}, found "
+            f"{[p.name for p in frees]} in the free set of {source}")
     return frees[0].value, frees[0]
 
 

@@ -15,6 +15,7 @@ from morseminmax.barannikov import (
     _reduce_degree,
     _verify_normal_form,
     betti,
+    free_points,
     reduce,
     reduce_integer,
 )
@@ -28,7 +29,8 @@ from morseminmax.coeff import (
 from morseminmax.complexes import (change_basis, global_index, negate, parse_complex,
                                    restrict, serialize, validate)
 from morseminmax.errors import InternalInconsistencyError
-from morseminmax.gen import paper_fixture, random_admissible_complex, single_point
+from morseminmax.gen import (min_value_gap, paper_fixture, perturb_values,
+                             random_admissible_complex, single_point)
 from morseminmax.selector import minmax_field, minmax_int, selector_report
 
 from helpers import hidden_laudenbach, mat_mul, rank_fraction, small_matrices
@@ -214,6 +216,24 @@ def test_certified_matches_rational_pairing():
                                 for col in cols for v in col.values())
     # the multiples of 3 leave integer basis entries that vanish mod 3
     assert vanished
+
+
+def test_derived_field_forms_of_random_complexes():
+    # the selectors and betti read a certified complex's free points off its
+    # integer form, so the derived F_p forms are checked here on random
+    # complexes, their negations and small perturbations of their values
+    for seed in range(100):
+        c = random_admissible_complex(seed, max_points=40)
+        gap = min_value_gap(c)
+        moved = perturb_values(c, gap / 4 if gap is not None else Fraction(1), seed)
+        for x in (c, negate(c), moved):
+            outcome = reduce_integer(x)
+            assert isinstance(outcome, Certified)
+            for field in (F2, F3, F5):
+                form = reduce(x, field)
+                check_form(x, form)
+                assert (form.pairs, form.free) == (outcome.form.pairs, outcome.form.free)
+                assert free_points(x, field) is outcome.form.free
 
 
 def test_obstructed_field_forms_split_by_characteristic():
@@ -444,3 +464,45 @@ def test_invariant_factors_of_a_residue():
     B = [[1, 3, 0], [0, 2, 1], [0, 0, 6]]
     reduction = _reduce_degree(sparse_columns(B, 3), INTEGERS)
     assert _invariant_factors(reduction) == invariant_factors(B) == (1, 1, 12)
+
+
+@pytest.mark.parametrize("make", [lambda: random_admissible_complex(5, max_points=40),
+                                  lambda: hidden_laudenbach(20)],
+                         ids=["certified", "obstructed"])
+def test_field_selectors_and_betti_build_only_the_forms_they_read(monkeypatch, make):
+    # a certified complex's free points are its integer form's, so the
+    # selectors and betti verify the Z forms of c and negate(c) and build no
+    # field form; an obstructed complex is reduced and verified over every
+    # field, on c and on negate(c)
+    c = make()
+    verified, reduced = Counter(), Counter()
+    real_verify, real_reduce = barannikov._verify_normal_form, barannikov.reduce
+
+    def counting_verify(x, form):
+        verified[form.coeff.token(), "c" if x is c else "negate" if x is negate(c) else "?"] += 1
+        real_verify(x, form)
+
+    def counting_reduce(x, field):
+        reduced[field.token()] += 1
+        return real_reduce(x, field)
+
+    monkeypatch.setattr(barannikov, "_verify_normal_form", counting_verify)
+    monkeypatch.setattr(barannikov, "reduce", counting_reduce)
+    fields = (F2, F3, F5, RATIONALS)
+    selector_report(c, (INTEGERS, *fields))
+    for field in fields:
+        for k in range(c.ambient_dim + 1):
+            betti(c, field, k)
+    if isinstance(reduce_integer(c), Certified):
+        assert verified == {("z", "c"): 1, ("z", "negate"): 1}
+        assert reduced == {}
+    else:
+        assert verified == {(f.token(), x): 1 for f in fields for x in ("c", "negate")}
+        # per field: the minmax, the maxmin on negate(c), and one betti per degree
+        assert reduced == {f.token(): 2 + c.ambient_dim + 1 for f in fields}
+
+
+def test_free_points_rejects_integers(laudenbach, f0):
+    for c in (laudenbach, f0):
+        with pytest.raises(ValueError):
+            free_points(c, INTEGERS)

@@ -133,6 +133,23 @@ def test_int_selector_refuses_a_broken_presentation(monkeypatch):
             select(torsion)
 
 
+@pytest.mark.parametrize("fixture, planted, message", [
+    ("f0", "xi3_n", "expected one free point of degree 2 over f2, found "
+                    "['xi2_n', 'xi3_n'] in the free set of the integer certificate"),
+    ("laudenbach", "xi2_n", "expected one free point of degree 2 over f2, found "
+                            "['xi3_n', 'xi2_n'] in the free set of the f2 reduction"),
+], ids=["certified", "obstructed"])
+def test_field_selector_names_the_field_and_the_free_set(monkeypatch, fixture, planted,
+                                                         message):
+    c = paper_fixture(fixture)
+    real = selector.free_points
+    monkeypatch.setattr(selector, "free_points",
+                        lambda x, field: real(x, field) + (x.point(planted),))
+    with pytest.raises(InternalInconsistencyError) as err:
+        minmax_field(c, F2)
+    assert str(err.value) == message
+
+
 def test_maxmin_takes_negated_index_from_the_complex():
     # the negated complex has the anti-transposed matrices, with the same
     # ranks and invariant factors: its homology is never recomputed
