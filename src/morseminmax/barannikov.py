@@ -14,8 +14,17 @@ pivot, so later cancellations need no division, and the reduced column is
 exactly the replacement basis vector of its partner. The basis change that
 realizes the normal form is therefore read off the reduction directly, with
 one entry equal to one per coupled column of the normal form and zeros
-elsewhere. The basis change, the normal form and the check that relates them
-all stay sparse columns, so a reduction costs what its nonzero entries cost.
+elsewhere. The basis change and the normal form stay sparse columns, so a
+reduction costs what its nonzero entries cost.
+
+Every form is checked exactly, by :mod:`.certify`: D_k P_k = P_{k-1} B_k,
+over its own ring. Each column is checked in one sparse accumulator that
+starts as P_{k-1} B_k[:, j] (the stored column of P_{k-1} that a single 1 in
+B_k selects, copied) and has D_k P_k[:, j] subtracted from it term by term;
+every entry left must vanish (mod p). An entry of that difference is
+nonzero exactly where the two product columns differ, so this is the same
+check as multiplying out both sides and comparing them, at the cost of the
+nonzero terms of D_k P_k[:, j] plus one column copy.
 
 The integer variant runs the same greedy reduction over Z and reports a
 certificate only when every surviving pivot is a unit, which is precisely
@@ -44,9 +53,9 @@ from fractions import Fraction
 from typing import Union
 
 from .coeff import (INTEGERS, Coefficients, back_substitute, invariant_factors,
-                    sparse_product_columns, sparse_subtract)
+                    sparse_subtract)
+from .certify import _verify_normal_form
 from .complexes import CriticalPoint, FilteredComplex, memoized
-from .errors import InternalInconsistencyError
 
 
 def _inverse(pivot, p):
@@ -215,29 +224,6 @@ def _assemble(c: FilteredComplex, per_degree, coeff) -> CanonicalForm:
     )
     _verify_normal_form(c, form)
     return form
-
-
-def _verify_normal_form(c: FilteredComplex, form: CanonicalForm) -> None:
-    """Check D_k P_k = P_{k-1} B_k exactly (equivalent to B = P^{-1} D P).
-
-    Both sides are built column by column from sparse columns, so the check
-    costs what the nonzero entries of D, P and B cost.
-    """
-    p = form.coeff.p
-    for k in form.normal:
-        lower = c.points(k - 1)
-        upper = c.points(k)
-        P = [col.items() for col in form.basis[k]]
-        Plow = [col.items() for col in form.basis.get(k - 1, ())]
-        lhs_cols = sparse_product_columns(c.columns(k), P, p)
-        rhs_cols = sparse_product_columns(Plow, form.normal[k], p)
-        for j, (lhs, rhs) in enumerate(zip(lhs_cols, rhs_cols)):
-            if lhs != rhs:
-                i = min(i for i in lhs.keys() | rhs.keys() if lhs.get(i) != rhs.get(i))
-                raise InternalInconsistencyError(
-                    f"normal form verification failed over {form.coeff.token()} "
-                    f"at degree {k}: row {i} ({lower[i].name}), "
-                    f"column {j} ({upper[j].name})")
 
 
 @memoized

@@ -1,0 +1,60 @@
+"""The exact check of a canonical form: D_k P_k = P_{k-1} B_k.
+
+``barannikov`` checks every form it builds with :func:`_verify_normal_form`:
+the integer form, the derived F_p forms of a certified complex and the field
+forms of an obstructed one. The check reads only the form's ring, basis and
+normal form and the complex's boundary columns.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .complexes import FilteredComplex
+from .errors import InternalInconsistencyError
+
+if TYPE_CHECKING:
+    from .barannikov import CanonicalForm
+
+
+def _verify_normal_form(c: FilteredComplex, form: CanonicalForm) -> None:
+    """Check D_k P_k = P_{k-1} B_k exactly (equivalent to B = P^{-1} D P).
+
+    Each column j of each degree k, in order, is checked in one sparse
+    accumulator. It starts as P_{k-1} B_k[:, j]: a copy of the stored column
+    ``basis[k-1][m]`` when that column of B_k is ``((m, 1),)``, a term by
+    term sum otherwise. D_k P_k[:, j] is subtracted from it in place, and
+    every entry must vanish (mod p over F_p). Entry i of the difference is
+    nonzero exactly when the two product columns differ at row i, so a
+    failure names the least such row, as comparing the columns would. A
+    form that names a row outside its matrix fails with that index.
+    """
+    p = form.coeff.p
+
+    def failure(k, j, detail):
+        return InternalInconsistencyError(
+            f"normal form verification failed over {form.coeff.token()} "
+            f"at degree {k}: {detail}, column {j} ({c.points(k)[j].name})")
+
+    for k in form.normal:
+        lower, D, Plow = c.points(k - 1), c.columns(k), form.basis.get(k - 1, ())
+        for j, (col, terms) in enumerate(zip(form.basis[k], form.normal[k])):
+            if len(terms) == 1 and terms[0][1] == 1 and 0 <= terms[0][0] < len(Plow):
+                acc = dict(Plow[terms[0][0]])
+            else:
+                acc = {}
+                for m, b in terms:
+                    if not 0 <= m < len(Plow):
+                        raise failure(k, j, f"row {m} of B_{k} is outside range({len(Plow)})")
+                    for i, a in Plow[m].items():
+                        acc[i] = acc.get(i, 0) + a * b
+            for t, v in col.items():
+                if not 0 <= t < len(D):
+                    raise failure(k, j, f"row {t} of P_{k} is outside range({len(D)})")
+                for i, d in D[t]:
+                    acc[i] = acc.get(i, 0) - d * v
+            if any(acc.values()) if p is None else any(x % p for x in acc.values()):
+                i = min(i for i, x in acc.items() if (x % p if p else x))
+                if not 0 <= i < len(lower):
+                    raise failure(k, j, f"row {i} of P_{k - 1} is outside range({len(lower)})")
+                raise failure(k, j, f"row {i} ({lower[i].name})")

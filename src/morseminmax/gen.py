@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import CriticalPoint, FilteredComplex, change_basis
+from .complexes import CriticalPoint, FilteredComplex, change_basis, memoized
 from .errors import InternalInconsistencyError
 
 FIXTURE_NAMES = ("laudenbach", "f0", "capitanio_v", "capitanio_vprime")
@@ -209,11 +209,12 @@ def random_admissible_complex(seed: int, max_points: int = 40) -> FilteredComple
     return random_complex(seed, sizes, ambient)
 
 
+@memoized
 def min_value_gap(c: FilteredComplex) -> Fraction | None:
+    """Least difference between consecutive critical values, None below two
+    points. Memoized: ``fuzz`` reads it and so does :func:`perturb_values`."""
     values = [p.value for p in c.all_points()]  # ascending
-    if len(values) < 2:
-        return None
-    return min(b - a for a, b in zip(values, values[1:]))
+    return min((b - a for a, b in zip(values, values[1:])), default=None)
 
 
 def perturb_values(c: FilteredComplex, eps, seed: int) -> FilteredComplex:

@@ -63,8 +63,14 @@ def dense(cols, nrows):
 def bump(cols, i, j):
     """The sparse columns with 1 added to entry (i, j); only column j is
     rebuilt, in the format it had."""
+    return bump_by(cols, i, j, 1)
+
+
+def bump_by(cols, i, j, delta):
+    """The sparse columns with ``delta`` added to entry (i, j); only column j
+    is rebuilt, in the format it had."""
     col = dict(cols[j])
-    col[i] = col.get(i, 0) + 1
+    col[i] = col.get(i, 0) + delta
     if not isinstance(cols[j], dict):
         col = tuple(sorted(col.items()))
     return [*cols[:j], col, *cols[j + 1:]]
@@ -320,6 +326,112 @@ def test_verify_normal_form_catches_corrupt_normal(coeff):
                 assert any(f"({p.name})" in msg for p in lower)
                 checked += 1
     assert checked
+
+
+def _dense_first_failure(c, form):
+    """(k, i, j) of the first nonzero entry of D_k P_k - P_{k-1} B_k (mod p),
+    multiplied out densely from the ``c.matrix(k)`` views: degrees in
+    ``form.normal`` order, then the lowest column, then the least row. None
+    when every residual vanishes."""
+    p = form.coeff.p
+    for k in form.normal:
+        lower, upper = len(c.points(k - 1)), len(c.points(k))
+        lhs = mat_mul([list(row) for row in c.matrix(k)], dense(form.basis[k], upper))
+        rhs = mat_mul(dense(form.basis.get(k - 1, ()), lower), dense(form.normal[k], lower))
+        for j in range(upper):
+            for i in range(lower):
+                r = lhs[i][j] - rhs[i][j]
+                if r % p if p else r:
+                    return k, i, j
+    return None
+
+
+_BUMPS = {"z": (1, -1, 2), "q": (1, Fraction(1, 2), -3), "f3": (1, 2, 3)}
+
+
+@pytest.mark.parametrize("coeff", [INTEGERS, RATIONALS, F3], ids=str)
+def test_verify_normal_form_agrees_with_the_dense_residual(coeff):
+    complexes = [paper_fixture("laudenbach")] + [
+        random_admissible_complex(seed, max_points=16) for seed in range(25)]
+    rng = random.Random(f"dense-residual/{coeff.token()}")
+    outcomes = Counter()
+    for c in complexes:
+        if coeff.is_integers and isinstance(reduce_integer(c), Obstructed):
+            continue  # laudenbach has no Z form
+        form = _form_over(c, coeff)
+        assert _dense_first_failure(c, form) is None
+        degrees = [k for k in form.normal if c.points(k)]
+        for _ in range(12):
+            bad = form
+            for _ in range(rng.choice((1, 1, 2))):  # one entry, sometimes two
+                k = rng.choice(degrees)
+                j = rng.randrange(len(c.points(k)))
+                delta = rng.choice(_BUMPS[coeff.token()])
+                if c.points(k - 1) and rng.random() < 0.5:
+                    i = rng.randrange(len(c.points(k - 1)))
+                    cols = bump_by(bad.normal[k], i, j, delta)
+                    bad = replace(bad, normal={**bad.normal, k: cols})
+                else:
+                    i = rng.randrange(len(c.points(k)))
+                    bad = replace(bad, basis={**bad.basis, k: bump_by(bad.basis[k], i, j, delta)})
+            expected = _dense_first_failure(c, bad)
+            outcomes[expected is not None] += 1
+            if expected is None:
+                _verify_normal_form(c, bad)
+                continue
+            k, i, j = expected
+            with pytest.raises(InternalInconsistencyError) as err:
+                _verify_normal_form(c, bad)
+            assert str(err.value) == (
+                f"normal form verification failed over {coeff.token()} at degree {k}: "
+                f"row {i} ({c.points(k - 1)[i].name}), column {j} ({c.points(k)[j].name})")
+    assert outcomes[True] > 50 and outcomes[False] > 10, outcomes
+
+
+def test_laudenbach_rational_form_has_fraction_entries(laudenbach):
+    # the dense-residual test above bumps a form whose basis is not integral
+    form = reduce(laudenbach, RATIONALS)
+    assert any(isinstance(v, Fraction) and v.denominator != 1
+               for cols in form.basis.values() for col in cols for v in col.values())
+
+
+def test_verify_normal_form_names_indices_outside_the_matrix():
+    c = random_admissible_complex(7, max_points=20)
+    form = _form_over(c, INTEGERS)
+    checked = 0
+    for k in form.normal:
+        upper, lower = c.points(k), c.points(k - 1)
+        if not upper:
+            continue
+        at = f"normal form verification failed over z at degree {k}: "
+        column = f", column 0 ({upper[0].name})"
+        for t in (len(upper), -1):
+            basis = [dict(col) for col in form.basis[k]]
+            basis[0][t] = 1
+            with pytest.raises(InternalInconsistencyError) as err:
+                _verify_normal_form(c, replace(form, basis={**form.basis, k: basis}))
+            assert str(err.value) == f"{at}row {t} of P_{k} is outside range({len(upper)}){column}"
+            checked += 1
+        for m in (len(lower), -1):
+            normal = [((m, 1),), *form.normal[k][1:]]
+            with pytest.raises(InternalInconsistencyError) as err:
+                _verify_normal_form(c, replace(form, normal={**form.normal, k: normal}))
+            assert str(err.value) == f"{at}row {m} of B_{k} is outside range({len(lower)}){column}"
+            checked += 1
+    assert checked >= 8
+    # a lower basis that only the degree-k product reads names its own bad row
+    k, j, m = next((k, j, col[0][0]) for k in form.normal
+                   for j, col in enumerate(form.normal[k]) if col)
+    lower = c.points(k - 1)
+    low = [dict(col) for col in form.basis[k - 1]]
+    low[m][len(lower)] = 1
+    bad = replace(form, basis={**form.basis, k - 1: low},
+                  normal={d: cols for d, cols in form.normal.items() if d != k - 1})
+    with pytest.raises(InternalInconsistencyError) as err:
+        _verify_normal_form(c, bad)
+    assert str(err.value) == (
+        f"normal form verification failed over z at degree {k}: row {len(lower)} of "
+        f"P_{k - 1} is outside range({len(lower)}), column {j} ({c.points(k)[j].name})")
 
 
 def test_reduce_runs_once_per_complex_and_field(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from morseminmax.barannikov import reduce
 from morseminmax.coeff import RATIONALS
-from morseminmax.complexes import global_index, parse_complex, serialize, validate
+from morseminmax.complexes import (FilteredComplex, global_index, parse_complex, serialize,
+                                   validate)
 from morseminmax.gen import (
     FIXTURE_NAMES,
     min_value_gap,
@@ -139,3 +140,18 @@ def test_perturb_values_rejects_large_eps():
         perturb_values(c, -1, seed=0)
     # a single point has no gap constraint
     perturb_values(single_point(1, 0, 2), 100, seed=0)
+
+
+def test_perturb_values_guards_with_the_memoized_gap(monkeypatch):
+    # fuzz reads the gap to size eps, then perturb_values compares eps with it
+    c = random_admissible_complex(4)
+    real = FilteredComplex.all_points
+    scans = []
+    monkeypatch.setattr(FilteredComplex, "all_points",
+                        lambda self: scans.append(self) or real(self))
+    gap = min_value_gap(c)
+    assert (min_value_gap(c), len(scans)) == (gap, 1)
+    perturb_values(c, gap / 4, seed=0)
+    assert len(scans) == 2  # the shifts; the guard read the memoized gap
+    with pytest.raises(ValueError, match="too large"):
+        perturb_values(c, gap / 2, seed=0)
