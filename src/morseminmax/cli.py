@@ -34,6 +34,7 @@ from .gen import (
     random_admissible_complex,
     single_point,
 )
+from .grammar import _INT_RE
 from .oracle import homology, minmax_scan_field, pairs_by_rank
 from .selector import (
     capitanio_criterion,
@@ -47,8 +48,8 @@ USAGE_ERROR = 3
 # Largest point count and ambient dimension the oracle takes, and the largest
 # fuzz --max-points. The oracle takes dense Smith forms of whole boundary
 # matrices, whose cost grows steeply and erratically: on a 2-vCPU x86-64 VM
-# (Python 3.11), 5 fuzz trials took at most 1.0 s at 200 points and 2.6 s at
-# 240 over 10 seeds, but 40 s for one seed of 3 at 320 points.
+# (Python 3.11), 5 fuzz trials took at most 0.6 s at 200 points and 1.2 s at
+# 240 over 10 seeds, but at 320 points 29 s for one seed of 5, in Smith forms.
 ORACLE_POINTS_CAP = 200
 _FIELDS = (Coefficients.prime_field(2), Coefficients.prime_field(3),
            Coefficients.prime_field(5), Coefficients.rationals())
@@ -267,8 +268,9 @@ def _cmd_fixture(args) -> int:
     name = args.name
     if name.startswith("single:"):
         parts = name.split(":")
-        if len(parts) != 4:
-            raise _Exit(USAGE_ERROR, "expected single:DEGREE:VALUE:AMBIENT")
+        if len(parts) != 4 or not (_INT_RE.match(parts[1]) and _INT_RE.match(parts[3])):
+            raise _Exit(USAGE_ERROR, "expected single:DEGREE:VALUE:AMBIENT, "
+                                     "with integer DEGREE and AMBIENT")
         try:
             c = single_point(int(parts[1]), parse_value(parts[2]), int(parts[3]))
         except ValueError as exc:

@@ -1,14 +1,13 @@
 """Exact coefficient systems and integer normal-form linear algebra.
 
-Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
-rationals (kept in lowest terms), and residues ``0..p-1`` over a prime field.
-No floating point is used anywhere in the package.
+Everything here is exact: arbitrary-precision integers and residues
+``0..p-1`` over a prime field; ranks over Q come from fraction-free
+elimination on integers. No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 IntMatrix = list[list[int]]
@@ -81,7 +80,7 @@ class Coefficients:
             return cls.integers()
         if t == "q":
             return cls.rationals()
-        if t.startswith("f") and t[1:].isdigit():
+        if t.startswith("f") and t[1:].isascii() and t[1:].isdigit():
             return cls.prime_field(int(t[1:]))
         raise ValueError(f"unknown coefficient token {token!r}")
 
@@ -308,53 +307,47 @@ def invariant_factors(A: IntMatrix, *, ncols: int | None = None) -> tuple[int, .
 
 
 # ---------------------------------------------------------------------------
-# field linear algebra (Q via Fraction, F_p via residues)
+# ranks over Q and F_p by fraction-free elimination
 
-def _to_field_rows(A: Sequence[Sequence[int]], coeff: Coefficients):
-    if coeff.kind == "Fp":
-        p = coeff.p
-        return [[v % p for v in row] for row in A]
-    return [[Fraction(v) for v in row] for row in A]
+def _echelon(rows, p: int | None) -> int:
+    """Fraction-free forward elimination of integer rows in place (Bareiss
+    1968); returns the rank over Q when p is None, else over F_p, the
+    entries being residues mod p.
 
-
-def _echelon(rows, coeff: Coefficients) -> int:
-    """In-place forward elimination; returns the rank."""
+    At pivot ``pv`` each lower row with leading entry ``f`` becomes
+    ``pv*a - f*b`` entrywise. Over Q it is then divided by the previous
+    pivot, exactly: by Sylvester's identity every entry is a minor of the
+    input. Mod p there is no division, and a row with ``f == 0`` is left
+    alone, since the step would only scale it by the unit ``pv``.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    p = coeff.p if coeff.kind == "Fp" else None
-    rank = 0
+    rank, prev = 0, 1
     for col in range(n):
-        piv = next((r for r in range(rank, m) if rows[r][col] != 0), None)
+        piv = next((r for r in range(rank, m) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        inv = pow(pv, -1, p) if p else 1 / pv
-        for r in range(rank + 1, m):
-            factor = rows[r][col]
-            if factor == 0:
-                continue
-            scale = factor * inv % p if p else factor * inv
-            rr, rp = rows[r], rows[rank]
-            if p:
-                for c in range(col, n):
-                    rr[c] = (rr[c] - scale * rp[c]) % p
-            else:
-                for c in range(col, n):
-                    rr[c] = rr[c] - scale * rp[c]
+        top = rows[rank][col:]
+        pv = top[0]
+        for row in rows[rank + 1:]:
+            f = row[col]
+            if p is None:
+                row[col:] = [(pv * a - f * b) // prev for a, b in zip(row[col:], top)]
+            elif f:
+                row[col:] = [(pv * a - f * b) % p for a, b in zip(row[col:], top)]
+        prev = pv
         rank += 1
-        if rank == m:
-            break
     return rank
 
 
 def rank_over(A: Sequence[Sequence[int]], coeff: Coefficients) -> int:
-    """Rank of an integer matrix over the given coefficients.
-
-    Rank over Z is reported as rank over Q (the free rank).
+    """Rank of an integer matrix over the given coefficients, by
+    :func:`_echelon` of a copy of A. Rank over Z is reported as rank over Q
+    (the free rank).
     """
     if not A or not A[0]:
         return 0
-    field = RATIONALS if coeff.is_integers else coeff
-    rows = _to_field_rows(A, field)
-    return _echelon(rows, field)
+    p = coeff.p  # None over Z and Q
+    rows = [list(row) for row in A] if p is None else [[v % p for v in row] for row in A]
+    return _echelon(rows, p)

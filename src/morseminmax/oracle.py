@@ -6,12 +6,14 @@ whose rows and columns are the degree k-1 and degree k points in value
 order. Homology ranks come from whole matrices, the pairing from the ranks
 of the lower-left blocks ``D_k[m:, :j]`` (the pairing lemma of
 Cohen-Steiner, Edelsbrunner and Morozov 2006), and the minmax from the
-ranks of H_k of prefixes, which are sums of such ranks. Over Z, homology,
-torsion and the global index come from Smith forms of whole boundary
-matrices, where the fast path takes a Smith form only of the small residue
-its integer reduction leaves. Within the package only this module reads
-the dense view ``c.matrix``. Agreement with the fast paths is meaningful
-evidence; speed is a non-goal.
+ranks of H_k of prefixes, which are sums of such ranks. Over Z, homology
+and torsion come from Smith forms of whole boundary matrices, where the
+fast path takes a Smith form only of the small residue its integer
+reduction leaves, and the global index is read off that homology. So the
+oracle computes only with integers and residues mod p: Q ranks come from
+the same fraction-free elimination as F_p ranks. Within the package only
+this module reads the dense view ``c.matrix``. Agreement with the fast
+paths is meaningful evidence; speed is a non-goal.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import Coefficients, invariant_factors, rank_over
+from .coeff import INTEGERS, Coefficients, invariant_factors, rank_over
 from .complexes import CriticalPoint, FilteredComplex, memoized
 from .errors import InternalInconsistencyError, NotAdmissibleError
 
@@ -39,12 +41,12 @@ def _rank(c: FilteredComplex, field: Coefficients, k: int,
         return 0
     if first_row == 0 and n == len(c.points(k)):
         return _full_rank(c, field, k)
-    return rank_over([list(r[:n]) for r in c.matrix(k)[first_row:]], field)
+    return rank_over([r[:n] for r in c.matrix(k)[first_row:]], field)
 
 
 @memoized
 def _full_rank(c: FilteredComplex, field: Coefficients, k: int) -> int:
-    return rank_over([list(r) for r in c.matrix(k)], field)
+    return rank_over(c.matrix(k), field)
 
 
 @memoized
@@ -114,15 +116,13 @@ def _global_index(c: FilteredComplex) -> int:
     """The degree of the rank-one, torsion-free total homology, memoized.
 
     ``complexes.global_index`` reads homology off the column reductions, so
-    the oracle computes its own from one Smith form per boundary matrix,
-    shared with :func:`homology`: the nonzero invariant factors count its
-    rank, and any factor above 1 is torsion.
+    the oracle reads its own from :func:`homology` over Z, that is from one
+    Smith form per boundary matrix.
     """
-    factors = {k: _factors(c, k) for k in c.degrees()}
-    betti = {k: len(c.points(k)) - len(factors[k]) - len(factors.get(k + 1, ()))
-             for k in c.degrees()}
+    groups = {k: homology(c, INTEGERS, k) for k in c.degrees()}
+    betti = {k: h.rank for k, h in groups.items()}
     ones = [k for k, b in betti.items() if b == 1]
-    torsion = any(d > 1 for f in factors.values() for d in f)
+    torsion = any(h.torsion for h in groups.values())
     if len(ones) != 1 or any(b not in (0, 1) for b in betti.values()) or torsion:
         raise NotAdmissibleError(f"oracle homology ranks {betti}, torsion {torsion}")
     return ones[0]

@@ -87,6 +87,9 @@ def test_selector_bad_token(capsys):
                          "f318665857834031151167461")
     assert (code, out) == (3, "")
     assert "prime" in err
+    code, out, err = run(capsys, "selector", LAUDENBACH, "--coeff", "f\u00b2")
+    assert (code, out) == (3, "")
+    assert "unknown coefficient token" in err
 
 
 def test_selector_not_admissible(tmp_path, capsys):
@@ -187,6 +190,12 @@ def test_fixture_command(capsys):
     assert code == 3
     code, _, err = run(capsys, "fixture", "single:9:0:4")
     assert code == 3
+    # degree and ambient are integers of the file grammar: ASCII digits, no '_' or '+'
+    for name in ("single:\u0662:1:1_0", "single:2:1:1_0", "single:\u0662:1:4",
+                 "single:0:1:+1"):
+        code, out, err = run(capsys, "fixture", name)
+        assert (code, out) == (3, "")
+        assert "with integer DEGREE and AMBIENT" in err
 
 
 def test_oracle_on_inadmissible_input(tmp_path, capsys):

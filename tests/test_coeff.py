@@ -15,7 +15,7 @@ from morseminmax.coeff import (
     sparse_subtract,
 )
 
-from helpers import det, mat_mul, small_matrices
+from helpers import det, mat_mul, rank_fraction, small_matrices
 
 
 def check_snf(A, ncols=None):
@@ -131,7 +131,23 @@ def test_rank_over_examples():
 @given(small_matrices, st.sampled_from([2, 3, 5, 7]))
 def test_rank_specialization_drops(A, p):
     # mapping into F_p can only collapse columns, never create new independence
-    assert rank_over(A, RATIONALS) >= rank_over(A, Coefficients.prime_field(p))
+    rank_q, rank_p = rank_over(A, RATIONALS), rank_over(A, Coefficients.prime_field(p))
+    assert rank_q >= rank_p
+    assert rank_q == rank_fraction(A)
+    assert rank_p == sum(1 for d in invariant_factors(A) if d % p)
+
+
+def test_rank_over_q_divides_exactly_past_machine_words():
+    # a 12x12 product of 12x7 and 7x12 factors with 60-bit entries has rank 7;
+    # its entries and the minors the elimination divides by exceed 64 bits
+    rng = random.Random(21)
+
+    def wide(m, n):
+        return [[rng.randrange(-2**60, 2**60) for _ in range(n)] for _ in range(m)]
+
+    A = mat_mul(wide(12, 7), wide(7, 12))
+    assert max(abs(v) for row in A for v in row).bit_length() > 64
+    assert rank_over(A, RATIONALS) == rank_over(A, INTEGERS) == rank_fraction(A) == 7
 
 
 def test_coefficients_tokens():
@@ -143,6 +159,10 @@ def test_coefficients_tokens():
         Coefficients.parse("f4")
     with pytest.raises(ValueError):
         Coefficients.parse("r")
+    # only ASCII digits name a prime, as in the file grammar
+    for token in ("f\u0663", "f\u00b2", "f\uff17"):
+        with pytest.raises(ValueError, match="unknown coefficient token"):
+            Coefficients.parse(token)
     with pytest.raises(ValueError):
         Coefficients.prime_field(1)
 
