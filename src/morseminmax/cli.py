@@ -7,9 +7,7 @@ Exit codes: 0 success, 1 validation failure of the input, 2 assertion failure
 from __future__ import annotations
 
 import argparse
-import marshal
 import os
-import signal
 import sys
 from fractions import Fraction
 
@@ -47,9 +45,12 @@ from .selector import (
 USAGE_ERROR = 3
 # Largest point count and ambient dimension the oracle takes, and the largest
 # fuzz --max-points. The oracle takes dense Smith forms of whole boundary
-# matrices, whose cost grows steeply and erratically: on a 2-vCPU x86-64 VM
-# (Python 3.11), 5 fuzz trials took at most 0.6 s at 200 points and 1.2 s at
-# 240 over 10 seeds, but at 320 points 29 s for one seed of 5, in Smith forms.
+# matrices, whose cost grows steeply and erratically. The cap bounds it on
+# fuzz's own random complexes: on a 2-vCPU x86-64 VM (Python 3.11), 5 fuzz
+# trials took at most 0.6 s at 200 points and 1.2 s at 240 over 10 seeds, but
+# at 320 points 29 s for one seed of 5, in Smith forms. It does not bound the
+# oracle on arbitrary input: on the 197-point random_complex_plan(1000,
+# {1: 49, 2: 99, 3: 49}, 4) the Smith form of D_3 alone took 577 s.
 ORACLE_POINTS_CAP = 200
 _FIELDS = (Coefficients.prime_field(2), Coefficients.prime_field(3),
            Coefficients.prime_field(5), Coefficients.rationals())
@@ -416,64 +417,24 @@ def _trial(args, i: int) -> list[str]:
     return [f"FAIL trial={i} seed={trial_seed}: {msg}" for msg in problems]
 
 
-def _fork_shard(args, w: int, n: int, shards: dict) -> None:
-    """Fork a child that runs trials w, w+n, ... and writes one record per trial."""
-    r, wfd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child leaves only through os._exit, and prints nothing
-        code = 1
-        try:
-            os.close(r)
-            for _, reader in shards.values():
-                reader.close()
-            with open(wfd, "wb") as out:
-                for i in range(w, args.trials, n):
-                    marshal.dump(_trial(args, i), out)
-                    out.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    shards[w] = pid, open(r, "rb")
-
-
 def _cmd_fuzz(args) -> int:
     if args.trials < 1 or not 3 <= args.max_points <= ORACLE_POINTS_CAP:
         raise _Exit(USAGE_ERROR, "need --trials >= 1 and "
                                  f"3 <= --max-points <= {ORACLE_POINTS_CAP}")
-    # shard w runs trials w, w+n, ...; the parent runs shard 0 and prints in order
+    # imported here, so that no other command loads the fork machinery
+    from .workers import in_order
+
+    # the trials run on every usable CPU, taken from one queue, and print in order
     n = min(_usable_cpus(), args.trials)
-    shards: dict[int, tuple] = {}  # w -> (pid, reader) of each live child
+    results = in_order(lambda i: _trial(args, i), args.trials, n)
+    failures = 0
     try:
-        for w in range(1, n):
-            _fork_shard(args, w, n, shards)
-        failures = 0
-        for i in range(args.trials):
-            w = i % n
-            if w == 0:
-                lines = _trial(args, i)
-            else:
-                try:
-                    lines = marshal.load(shards[w][1])
-                except (EOFError, ValueError):  # the child died before the record
-                    raise InternalInconsistencyError(
-                        f"fuzz worker {w} (first trial {w}) ended early") from None
+        for lines in results:
             for line in lines:
                 print(line)
             failures += len(lines)
-        for w in range(1, n):
-            pid, reader = shards[w]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reader.close()
-            del shards[w]
-            if code:
-                raise InternalInconsistencyError(
-                    f"fuzz worker {w} (first trial {w}) exited with code {code}")
     finally:
-        for pid, reader in shards.values():  # left only by an exception
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        results.close()  # after an exception, kills and reaps the workers
     print(f"fuzz trials={args.trials} seed={args.seed} "
           f"max_points={args.max_points} failures={failures}")
     return 0 if failures == 0 else 2

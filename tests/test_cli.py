@@ -1,7 +1,11 @@
 import ast
+import contextlib
 import io
 import os
+import re
+import signal
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -331,14 +335,14 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 def use_cpus(monkeypatch, n):
-    """Make ``fuzz`` see n usable CPUs, so that it runs n shards."""
+    """Make ``fuzz`` see n usable CPUs, so that it runs n workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
 
 
 @needs_fork
 def test_fuzz_output_is_the_same_on_any_number_of_workers(monkeypatch, capsys):
-    bad = random_admissible_complex(1, max_points=12)  # trial 1, run by a child
+    bad = random_admissible_complex(1, max_points=12)  # trial 1
     real = selector._minmax_int_at
 
     def planted(c, lam):
@@ -372,53 +376,167 @@ def test_fuzz_forks_in_a_single_threaded_process(monkeypatch, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                   reason="needs /proc/self/fd")
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in this process if the block runs longer than seconds,
+    so that a deadlocked fuzz fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def wait_for(condition, seconds=20.0):
+    """Poll until condition() holds; False if it does not within seconds."""
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
 @needs_fork
-def test_a_dead_fuzz_worker_is_an_internal_inconsistency(monkeypatch, capfd):
+@needs_proc_fd
+def test_a_dead_fuzz_worker_is_an_internal_inconsistency(monkeypatch, capfd, tmp_path):
+    parent, died = os.getpid(), tmp_path / "died"
     real = cli._battery
 
-    def dies_on_trial_one(c, trial_seed):
-        if trial_seed == 1:
+    def dies_in_a_child(c, trial_seed):
+        if os.getpid() != parent:
+            died.touch()
             raise RuntimeError("unexpected")
+        # the parent waits, so that the child is sure to take a trial
+        assert wait_for(died.exists)
         return real(c, trial_seed)
 
-    monkeypatch.setattr(cli, "_battery", dies_on_trial_one)
+    monkeypatch.setattr(cli, "_battery", dies_in_a_child)
     use_cpus(monkeypatch, 2)
+    fds = open_fds()
     code = main(["fuzz", "--trials", "4", "--seed", "0", "--max-points", "12"])
     out, err = capfd.readouterr()  # the child's file descriptors included
     assert (code, out) == (2, "")
-    assert err == "error: internal inconsistency: fuzz worker 1 (first trial 1) ended early\n"
+    # the child's trial is whichever of 0 and 1 it took first from the queue
+    assert re.fullmatch(r"error: internal inconsistency: "
+                        r"worker 1 exited with code 1; trial [01] has no result\n", err)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
 
 
 @needs_fork
+@needs_proc_fd
 def test_a_fuzz_worker_exiting_nonzero_is_an_internal_inconsistency(monkeypatch, capsys):
     real_exit = os._exit
     monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))  # only children exit
     use_cpus(monkeypatch, 2)
+    fds = open_fds()
     code, out, err = run(capsys, "fuzz", "--trials", "3", "--seed", "0", "--max-points", "12")
     assert (code, out) == (2, "")
-    assert err == ("error: internal inconsistency: "
-                   "fuzz worker 1 (first trial 1) exited with code 3\n")
+    assert err == "error: internal inconsistency: worker 1 exited with code 3\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
 
 
 @needs_fork
+@needs_proc_fd
 def test_an_interrupted_fuzz_leaves_no_child(monkeypatch, capsys):
-    real = cli._trial
+    parent = os.getpid()
 
     def interrupted(args, i):
-        if i == 3:  # a trial of the parent's own shard
+        if os.getpid() == parent:
             raise KeyboardInterrupt
-        return real(args, i)
+        time.sleep(30)  # each child holds one trial until it is killed
+        return []
 
     monkeypatch.setattr(cli, "_trial", interrupted)
     use_cpus(monkeypatch, 3)
+    fds, start = open_fds(), time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         main(["fuzz", "--trials", "9", "--seed", "0", "--max-points", "12"])
+    assert time.monotonic() - start < 20  # the children were killed, not awaited
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+@needs_fork
+def test_fuzz_workers_take_trials_from_one_queue(monkeypatch, capsys, tmp_path):
+    trials, counter = 6, tmp_path / "done"
+    argv = ("fuzz", "--trials", str(trials), "--seed", "2", "--max-points", "12")
+    use_cpus(monkeypatch, 1)
+    serial = run(capsys, *argv)
+    real = cli._trial
+
+    def trial_zero_waits_for_the_rest(args, i):
+        if i == 0:  # ends only once the other worker has run every other trial
+            if not wait_for(lambda: counter.exists() and counter.stat().st_size == trials - 1):
+                return ["trial 0 timed out"]
+            return real(args, i)
+        lines = real(args, i)
+        with open(counter, "ab") as fh:
+            fh.write(b".")
+        return lines
+
+    monkeypatch.setattr(cli, "_trial", trial_zero_waits_for_the_rest)
+    use_cpus(monkeypatch, 2)
+    with time_limit(60):
+        assert run(capsys, *argv) == serial
+
+
+@needs_fork
+def test_fuzz_records_larger_than_a_pipe_neither_deadlock_nor_reorder(monkeypatch, capsys,
+                                                                       tmp_path):
+    parent = os.getpid()
+
+    def verbose(c, trial_seed):
+        if os.getpid() != parent:
+            (started / str(os.getpid())).touch()
+        # every worker waits until each child has taken a trial, so each child
+        # writes at least one record of about 100 KB, more than a pipe holds
+        assert wait_for(lambda: len(os.listdir(started)) == workers - 1)
+        return [f"check {k} of {trial_seed} " + "x" * 60 for k in range(1500)]
+
+    monkeypatch.setattr(cli, "_battery", verbose)
+    runs = []
+    for workers in (1, 2, 3):
+        started = tmp_path / str(workers)
+        started.mkdir()
+        use_cpus(monkeypatch, workers)
+        with time_limit(60):
+            runs.append(run(capsys, "fuzz", "--trials", "4", "--seed", "0", "--max-points", "12"))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == 2 and len(runs[0][1]) > 4 * 100_000
+
+
+@needs_fork
+def test_chunked_fuzz_prints_every_trial_once_in_order(monkeypatch, capsys):
+    # 5000 trials take two-byte tokens, more than fit in PIPE_BUF bytes (4096 on
+    # Linux), so every worker takes chunks of several trials from the queue
+    trials = 5000
+    monkeypatch.setattr(cli, "_trial", lambda args, i: [f"FAIL trial={i}"])
+    for workers in (1, 2, 3):
+        use_cpus(monkeypatch, workers)
+        with time_limit(60):
+            code, out, _ = run(capsys, "fuzz", "--trials", str(trials), "--seed", "0")
+        assert code == 2
+        assert out.splitlines() == [f"FAIL trial={i}" for i in range(trials)] + [
+            f"fuzz trials={trials} seed=0 max_points=40 failures={trials}"]
 
 
 def test_fuzz_with_one_trial_forks_nothing(monkeypatch, capsys):
