@@ -70,59 +70,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="morseminmax",
-                     description="Exact canonical forms and critical-value "
-                                 "selectors for filtered Morse complexes.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-
-    def add_file(p):
-        p.add_argument("file", help="complex file, or - for standard input")
-
-    p = sub.add_parser("validate", help="check the complex invariants")
-    add_file(p)
-
-    p = sub.add_parser("reduce", help="canonical pairing over one coefficient system")
-    add_file(p)
-    p.add_argument("--coeff", required=True, metavar="C",
-                   help="coefficient token: z, q, or f<p>")
-
-    p = sub.add_parser("selector", help="minmax/maxmin report")
-    add_file(p)
-    p.add_argument("--coeff", required=True, metavar="C1,C2,...",
-                   help="comma-separated coefficient tokens")
-    p.add_argument("--machine", action="store_true",
-                   help="stable key=value records instead of the table")
-
-    p = sub.add_parser("negate", help="print the complex of the negated function")
-    add_file(p)
-
-    p = sub.add_parser("restrict", help="restrict to an open value window")
-    add_file(p)
-    p.add_argument("--window", required=True, metavar="B:C",
-                   help="window bounds, exact rationals separated by a colon; "
-                        "write --window=-1:2 when the lower bound is negative")
-
-    p = sub.add_parser("oracle", help="independent homology/pairing recomputation")
-    add_file(p)
-    p.add_argument("--coeff", required=True, metavar="C")
-
-    p = sub.add_parser("fixture", help="print a bundled fixture "
-                                       f"({', '.join(FIXTURE_NAMES)}, "
-                                       "single:DEG:VALUE:AMBIENT)")
-    p.add_argument("name")
-
-    sub.add_parser("verify-paper", help="run the bundled fixture assertion suite")
-
-    p = sub.add_parser("fuzz", help="seeded random invariant battery")
-    p.add_argument("--trials", type=int, default=100, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--max-points", type=int, default=40, metavar="M")
-
-    return parser
-
-
 def _read_input(path: str) -> bytes | str:
     """The raw input; ``parse_complex`` decodes it and reports bad bytes."""
     if path == "-":
@@ -440,27 +387,79 @@ def _cmd_fuzz(args) -> int:
     return 0 if failures == 0 else 2
 
 
+def _arg(*flags, **options):
+    """One ``add_argument`` call, as a command's entry in ``_COMMANDS`` lists it."""
+    return flags, options
+
+
+_FILE = _arg("file", help="complex file, or - for standard input")
+# name -> (run, help, arguments): the one definition of each command, which
+# both the full parser and a one-command parser read
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "reduce": _cmd_reduce,
-    "selector": _cmd_selector,
-    "negate": _cmd_negate,
-    "restrict": _cmd_restrict,
-    "oracle": _cmd_oracle,
-    "fixture": _cmd_fixture,
-    "verify-paper": _cmd_verify_paper,
-    "fuzz": _cmd_fuzz,
+    "validate": (_cmd_validate, "check the complex invariants", [_FILE]),
+    "reduce": (_cmd_reduce, "canonical pairing over one coefficient system", [
+        _FILE, _arg("--coeff", required=True, metavar="C",
+                    help="coefficient token: z, q, or f<p>")]),
+    "selector": (_cmd_selector, "minmax/maxmin report", [
+        _FILE, _arg("--coeff", required=True, metavar="C1,C2,...",
+                    help="comma-separated coefficient tokens"),
+        _arg("--machine", action="store_true",
+             help="stable key=value records instead of the table")]),
+    "negate": (_cmd_negate, "print the complex of the negated function", [_FILE]),
+    "restrict": (_cmd_restrict, "restrict to an open value window", [
+        _FILE, _arg("--window", required=True, metavar="B:C",
+                    help="window bounds, exact rationals separated by a colon; "
+                         "write --window=-1:2 when the lower bound is negative")]),
+    "oracle": (_cmd_oracle, "independent homology/pairing recomputation", [
+        _FILE, _arg("--coeff", required=True, metavar="C")]),
+    "fixture": (_cmd_fixture, f"print a bundled fixture ({', '.join(FIXTURE_NAMES)}, "
+                              "single:DEG:VALUE:AMBIENT)", [_arg("name")]),
+    "verify-paper": (_cmd_verify_paper, "run the bundled fixture assertion suite", []),
+    "fuzz": (_cmd_fuzz, "seeded random invariant battery", [
+        _arg("--trials", type=int, default=100, metavar="N"),
+        _arg("--seed", type=int, default=0, metavar="S"),
+        _arg("--max-points", type=int, default=40, metavar="M")]),
 }
 
 
+def _add_arguments(parser, command):
+    for flags, options in _COMMANDS[command][2]:
+        parser.add_argument(*flags, **options)
+    return parser
+
+
+def _build_parser() -> _Parser:
+    """The parser of every command."""
+    parser = _Parser(prog="morseminmax",
+                     description="Exact canonical forms and critical-value "
+                                 "selectors for filtered Morse complexes.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+    for command, (_, help_text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_text), command)
+    return parser
+
+
+def _parse_args(argv):
+    """The arguments of ``argv``. Where ``argv[0]`` names a command, only its
+    parser is built, as the full parser would build it; the full parser
+    parses any other ``argv``, and one with arguments left over, so that it
+    words their errors."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_arguments(_Parser(prog=f"morseminmax {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _Exit as exc:
         if exc.message is not None:
             print(f"error: {exc.message}", file=sys.stderr)

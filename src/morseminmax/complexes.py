@@ -6,9 +6,10 @@ boundary of degree k has one row per degree-(k-1) point and one column per
 degree-k point, both sorted by ascending critical value. It is stored as
 sparse columns, the nonzero ``(row, coeff)`` entries of each column with rows
 ascending, and the dense row-major matrix is a view derived from it on demand.
-``FilteredComplex.build`` is the entry for name-keyed input and the only code
-that compares critical values: it gives each point an integer rank, which
-orders and ties as the values do. The constructor takes the stored form, ranks
+``FilteredComplex.build`` is the entry for name-keyed input. It and
+``parse_complex`` hand checked input to one assembly, the only code that
+compares critical values: it gives each point an integer rank, which orders
+and ties as the values do. The constructor takes the stored form, ranks
 included, so an operation derives a complex from one already built and every
 later order test compares ranks. Nonzero entries must point strictly downward
 in value, values must be pairwise distinct, and d∘d must vanish.
@@ -144,6 +145,29 @@ class FilteredComplex:
         if len(by_name) != len(keyed):
             dup = next(key[2] for key in keyed if by_name[key[2]] is not key)
             raise ValueError(f"duplicate point name {dup!r}")
+        chains = {}
+        for src, chain in (boundaries or {}).items():
+            if src not in by_name:
+                raise ValueError(f"unknown point name {src!r} in boundary")
+            k = by_name[src][3]
+            terms = chains[src] = {}
+            for tgt, coeff in chain.items():
+                if tgt not in by_name:
+                    raise ValueError(f"unknown point name {tgt!r} in boundary of {src!r}")
+                if coeff := int(coeff):  # a zero term is dropped, whatever its degree
+                    if by_name[tgt][3] != k - 1:
+                        raise ValueError(f"boundary of {src!r} (degree {k}) hits {tgt!r} "
+                                         f"of degree {by_name[tgt][3]}")
+                    terms[tgt] = coeff
+        return cls._assemble(ambient_dim, keyed, chains)
+
+    @classmethod
+    def _assemble(cls, ambient_dim, keyed, chains):
+        """The stored form of checked input, as :meth:`build` and
+        :func:`grammar.read_complex` make it: per point, (floor of value,
+        value, name, degree), names distinct, and per point with a boundary,
+        its ``{target: coefficient}`` chain, the targets one degree lower and
+        the coefficients nonzero ints. Sorts ``keyed`` in place."""
         # The one comparison of values, exact and integers first: two Fractions
         # are compared only when their floors are equal. A rank counts the
         # points of lower value.
@@ -157,26 +181,12 @@ class FilteredComplex:
         ranks, points_by_degree = {}, {}
         for k, v in by_degree.items():
             ranks[k], points_by_degree[k] = zip(*v)
-        position = {k: {p.name: i for i, p in enumerate(v)} for k, v in points_by_degree.items()}
-        chains = {}
-        for src, chain in (boundaries or {}).items():
-            if src not in by_name:
-                raise ValueError(f"unknown point name {src!r} in boundary")
-            k = by_name[src][3]
-            rows = position.get(k - 1, {})
-            try:  # an unknown name fails at by_name; a nonzero term of another degree at rows
-                chains[src] = tuple(sorted([(rows[t], coeff) for t, c in chain.items()
-                                            if by_name[t] and (coeff := int(c))]))
-            except KeyError as exc:
-                tgt = exc.args[0]
-                if tgt not in by_name:
-                    raise ValueError(
-                        f"unknown point name {tgt!r} in boundary of {src!r}") from None
-                raise ValueError(f"boundary of {src!r} (degree {k}) hits {tgt!r} "
-                                 f"of degree {by_name[tgt][3]}") from None
-        columns = {k: tuple(chains.get(p.name, ()) for p in v)
-                   for k, v in points_by_degree.items()}
-        return cls(ambient_dim, points_by_degree, columns, ranks)
+        c = cls(ambient_dim, points_by_degree, {}, ranks)
+        row, empty = c._position.__getitem__, {}  # a target's row is its position in its degree
+        for k, v in points_by_degree.items():
+            c._columns[k] = tuple(tuple(sorted(zip(map(row, chain), chain.values())))
+                                  for chain in (chains.get(p.name, empty) for p in v))
+        return c
 
     # -- accessors ----------------------------------------------------------
 
@@ -231,13 +241,9 @@ class FilteredComplex:
         return len(self._by_name)
 
     def boundary_chain(self, name: str) -> list[tuple[int, CriticalPoint]]:
-        k, col = self._index(name)
+        k = self.point(name).degree
         lower = self.points(k - 1)
-        return [(v, lower[row]) for row, v in self._columns[k][col]]
-
-    def _index(self, name: str) -> tuple[int, int]:
-        """Degree of the named point and its position in :meth:`points`."""
-        return self.point(name).degree, self._position[name]
+        return [(v, lower[row]) for row, v in self._columns[k][self._position[name]]]
 
     def __eq__(self, other):
         if not isinstance(other, FilteredComplex):
@@ -282,7 +288,7 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
     (the default) the parsed complex is validated and InvalidComplexError is
     raised when any complex invariant fails.
     """
-    c = FilteredComplex.build(*read_complex(data))
+    c = FilteredComplex._assemble(*read_complex(data))
     if check:
         report = validate(c)
         if not report.ok:

@@ -7,6 +7,11 @@ it field by field: it passes a blank line, reads the ambient line, and
 words the error of every line the reader refuses. A line's fields are what
 ``str.split()`` makes of it before its first ``#``; the ``\\s`` of the
 regexes is the same whitespace, and ``[0-9]`` the only digits.
+
+What :func:`read_complex` returns is checked as far as
+``FilteredComplex.build`` checks its input, and in the form of build's own
+checked input, so ``complexes.parse_complex`` hands it to the one assembly
+they share, and nothing is checked or converted twice.
 """
 
 from __future__ import annotations
@@ -123,12 +128,15 @@ def _decode(data: bytes) -> str:
 
 
 def read_complex(data: bytes | str):
-    """The ambient dimension, ``(name, degree, value)`` point triples and
-    ``{name: {target: coefficient}}`` boundary chains of a complex file, as
-    ``FilteredComplex.build`` takes them; ParseError on a line it refuses.
+    """The ambient dimension, points and boundaries of a complex file, checked
+    and in the form ``FilteredComplex._assemble`` takes; ParseError on a line
+    it refuses.
 
-    A line is accepted by one regex match, and a boundary's targets by one
-    subset test against the names declared one degree lower.
+    Points are ``(floor of value, value, name, degree)`` tuples, the names
+    distinct and the values Fractions. Boundaries map a point's name to its
+    ``{target: coefficient}`` chain: names declared one degree lower, and
+    nonzero ints. A line is accepted by one regex match, and a boundary's
+    targets by one subset test against the names declared one degree lower.
     """
     text = _decode(data) if isinstance(data, (bytes, bytearray)) else data
     points, boundaries = [], {}
@@ -143,9 +151,12 @@ def read_complex(data: bytes | str):
         try:
             if (m := _POINT_LINE(raw)) and m[1] not in declared:
                 name, degree, num, den = m.groups()
-                degree = int(degree)
-                points.append((name, degree, Fraction(int(num), int(den)) if den
-                               else Fraction(int(num))))
+                degree, num = int(degree), int(num)
+                if den:  # the floor of num/den is num // den, reduced or not
+                    den = int(den)
+                    points.append((num // den, Fraction(num, den), name, degree))
+                else:
+                    points.append((num, Fraction(num), name, degree))
                 declared[name] = degree
                 names[degree].add(name)
                 continue

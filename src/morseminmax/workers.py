@@ -31,6 +31,7 @@ from __future__ import annotations
 import marshal
 import os
 import signal
+import sys
 
 from .errors import InternalInconsistencyError
 
@@ -48,7 +49,7 @@ def _fork_worker(trial, w: int, queue: tuple, announce: int, readers: dict) -> N
     and announces each on the notice pipe's write end ``announce``."""
     r, wfd = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the child leaves only through os._exit, and prints nothing
+    if pid == 0:  # the child leaves only through os._exit
         code = 1
         try:
             os.close(r)
@@ -62,6 +63,11 @@ def _fork_worker(trial, w: int, queue: tuple, announce: int, readers: dict) -> N
                     marshal.dump((i, result), out)
                     out.flush()
             code = 0
+        except Exception:  # the one thing the child prints is its traceback
+            import traceback  # here, so that a worker that does not fail never loads it
+
+            traceback.print_exc()
+            sys.stderr.flush()
         finally:
             os._exit(code)
     os.close(wfd)
@@ -145,6 +151,7 @@ def in_order(trial, trials: int, n: int):
         for fd in fds:
             os.close(fd)
         for pid, reader in readers.values():  # left only by an exception
-            reader.close()
+            # killed first, so that no child sees its pipe closed and reports it
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            reader.close()

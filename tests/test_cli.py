@@ -293,6 +293,21 @@ def test_usage_error_exit_code(capsys):
     assert main(["reduce", LAUDENBACH]) == 3  # missing --coeff
 
 
+@pytest.mark.parametrize("argv", [[name, "-h"] for name in cli._COMMANDS] + [
+    ["reduce", LAUDENBACH], ["fuzz", "--trials", "x"], ["validate", LAUDENBACH, "extra"],
+    [], ["bogus"], ["-h"]])
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    want = exc.value.code, *capsys.readouterr()
+    built = []
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(argv) or full())
+    assert (main(argv), *capsys.readouterr()) == want
+    # the full parser is built only for no command and for arguments left over
+    assert bool(built) == (not argv or argv[0] not in cli._COMMANDS or "extra" in argv)
+
+
 def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.cplx"
     bad.write_bytes(b"ambient 2\npoint a 0 \xff\n")
@@ -430,9 +445,11 @@ def test_a_dead_fuzz_worker_is_an_internal_inconsistency(monkeypatch, capfd, tmp
     code = main(["fuzz", "--trials", "4", "--seed", "0", "--max-points", "12"])
     out, err = capfd.readouterr()  # the child's file descriptors included
     assert (code, out) == (2, "")
-    # the child's trial is whichever of 0 and 1 it took first from the queue
-    assert re.fullmatch(r"error: internal inconsistency: "
-                        r"worker 1 exited with code 1; trial [01] has no result\n", err)
+    # the child prints its traceback before it exits, and the parent then
+    # reports it; the child's trial is whichever of 0 and 1 it took first
+    assert re.fullmatch(r"Traceback \(most recent call last\):\n.*\nRuntimeError: unexpected\n"
+                        r"error: internal inconsistency: "
+                        r"worker 1 exited with code 1; trial [01] has no result\n", err, re.S)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert open_fds() == fds

@@ -225,6 +225,16 @@ def _derived(c, rng):
         yield perturb_values(c, gap / 3 if gap else Fraction(1), rng.randrange(100))
 
 
+@given(written_complexes())
+def test_a_file_assembles_as_build_assembles_its_points(case):
+    text, points, boundaries = case
+    read, built = parse_complex(text, check=False), FilteredComplex.build(AMBIENT, points,
+                                                                         boundaries)
+    assert read == built
+    # equality does not compare ranks
+    assert [read.ranks(k) for k in read.degrees()] == [built.ranks(k) for k in built.degrees()]
+
+
 @given(written_complexes(), st.integers(0, 2**32))
 def test_ranks_order_and_tie_as_the_values_do(case, seed):
     text, points, boundaries = case
