@@ -45,12 +45,13 @@ from .selector import (
 USAGE_ERROR = 3
 # Largest point count and ambient dimension the oracle takes, and the largest
 # fuzz --max-points. The oracle takes dense Smith forms of whole boundary
-# matrices, whose cost grows steeply and erratically. The cap bounds it on
-# fuzz's own random complexes: on a 2-vCPU x86-64 VM (Python 3.11), 5 fuzz
-# trials took at most 0.6 s at 200 points and 1.2 s at 240 over 10 seeds, but
-# at 320 points 29 s for one seed of 5, in Smith forms. It does not bound the
-# oracle on arbitrary input: on the 197-point random_complex_plan(1000,
-# {1: 49, 2: 99, 3: 49}, 4) the Smith form of D_3 alone took 577 s.
+# matrices, whose cost grows steeply and erratically with their entries. The
+# cap bounds it on fuzz's own random complexes: on a 2-vCPU x86-64 VM (Python
+# 3.11), 5 fuzz trials took at most 0.2 s at 200 points and 0.5 s at 240 over
+# 10 seeds, but at 320 points 14 s for one seed of 10, in Smith forms. It does
+# not bound the oracle on arbitrary input: on the 197-point
+# random_complex_plan(1000, {1: 49, 2: 99, 3: 49}, 4) the Smith form of D_3
+# alone took 577 s.
 ORACLE_POINTS_CAP = 200
 _FIELDS = (Coefficients.prime_field(2), Coefficients.prime_field(3),
            Coefficients.prime_field(5), Coefficients.rationals())

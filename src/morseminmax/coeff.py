@@ -206,55 +206,69 @@ def smith_normal_form(A: IntMatrix, *, ncols: int | None = None) -> SmithDecompo
     promotes a smallest-magnitude nonzero entry, which keeps intermediate
     coefficient growth moderate; S itself is canonical whatever the strategy.
     """
+    S, U, V, _ = _smith(A, ncols, True)
+    return SmithDecomposition(U=U, S=S, V=V)
+
+
+def invariant_factors(A: IntMatrix, *, ncols: int | None = None) -> tuple[int, ...]:
+    """Nonzero diagonal entries of the Smith form of A, by the elimination of
+    :func:`smith_normal_form` without its U and V."""
+    S, _, _, rank = _smith(A, ncols, False)
+    return tuple(S[i][i] for i in range(rank))
+
+
+def _smith(A: IntMatrix, ncols: int | None, uv: bool):
+    """Diagonalize an int copy S of A and return S, U, V and the number of
+    nonzero diagonal entries, which lead the diagonal, are positive and each
+    divide the next. U and V, kept only when ``uv`` is true and None
+    otherwise, are unimodular with U S V = A.
+
+    At step t the rows and columns before t are zero off the diagonal, so
+    every operation on S touches only the trailing block ``S[t:, t:]``; a
+    column operation comes only once column t is zero below the pivot, so it
+    touches only row t.
+    """
     m = len(A)
     n = len(A[0]) if m else (ncols if ncols is not None else 0)
     S = [list(map(int, row)) for row in A]
     for row in S:
         if len(row) != n:
             raise ValueError("ragged matrix")
-    U = identity_matrix(m)
-    V = identity_matrix(n)
+    U, V = (identity_matrix(m), identity_matrix(n)) if uv else (None, None)
+    t = 0
 
     def row_add(i, j, q):  # row_i += q * row_j
         Si, Sj = S[i], S[j]
-        for t in range(n):
-            Si[t] += q * Sj[t]
-        for r in range(m):
-            U[r][j] -= q * U[r][i]
-
-    def col_add(j, i, q):  # col_j += q * col_i
-        for r in range(m):
-            S[r][j] += q * S[r][i]
-        Vi, Vj = V[i], V[j]
-        for t in range(n):
-            Vi[t] -= q * Vj[t]
+        Si[t:] = [a + q * b for a, b in zip(Si[t:], Sj[t:])]
+        if uv:
+            for r in U:
+                r[j] -= q * r[i]
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
-        for r in range(m):
-            U[r][i], U[r][j] = U[r][j], U[r][i]
+        if uv:
+            for r in U:
+                r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
-        for r in range(m):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        V[i], V[j] = V[j], V[i]
+        for r in range(t, m):
+            Sr = S[r]
+            Sr[i], Sr[j] = Sr[j], Sr[i]
+        if uv:
+            V[i], V[j] = V[j], V[i]
 
-    def negate_row(i):
-        S[i] = [-v for v in S[i]]
-        for r in range(m):
-            U[r][i] = -U[r][i]
-
-    t = 0
     while True:
-        best = None
+        best = None  # the first entry of least magnitude, rows first
         for i in range(t, m):
             Si = S[i]
             for j in range(t, n):
                 v = Si[j]
                 if v and (best is None or abs(v) < best[0]):
                     best = (abs(v), i, j)
+            if best and best[0] == 1:  # no later entry is smaller
+                break
         if best is None:
-            break
+            return S, U, V, t
         swap_rows(t, best[1])
         swap_cols(t, best[2])
         while True:
@@ -270,12 +284,15 @@ def smith_normal_form(A: IntMatrix, *, ncols: int | None = None) -> SmithDecompo
                         break
             if restart:
                 continue
+            St = S[t]
             for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    if q:
-                        col_add(j, t, -q)
-                    if S[t][j]:
+                if St[j]:
+                    q = St[j] // St[t]
+                    if q:  # col_j -= q * col_t, which is zero below row t
+                        St[j] -= q * St[t]
+                        if uv:
+                            V[t] = [a + q * b for a, b in zip(V[t], V[j])]
+                    if St[j]:
                         swap_cols(j, t)
                         restart = True
                         break
@@ -283,71 +300,75 @@ def smith_normal_form(A: IntMatrix, *, ncols: int | None = None) -> SmithDecompo
                 continue
             # pivot must divide the whole trailing block for the chain to hold;
             # a unit pivot divides everything
-            d = S[t][t]
+            d = St[t]
             if d in (1, -1):
                 break
-            bad_row = None
-            for i in range(t + 1, m):
-                if any(S[i][j] % d for j in range(t + 1, n)):
-                    bad_row = i
-                    break
+            bad_row = next((i for i in range(t + 1, m)
+                            if any(v % d for v in S[i][t + 1:])), None)
             if bad_row is None:
                 break
             row_add(t, bad_row, 1)
         if S[t][t] < 0:
-            negate_row(t)
+            S[t][t] = -S[t][t]
+            if uv:
+                for r in U:
+                    r[t] = -r[t]
         t += 1
-    return SmithDecomposition(U=U, S=S, V=V)
-
-
-def invariant_factors(A: IntMatrix, *, ncols: int | None = None) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith form of A."""
-    dec = smith_normal_form(A, ncols=ncols)
-    return tuple(d for d in dec.diagonal if d != 0)
 
 
 # ---------------------------------------------------------------------------
 # ranks over Q and F_p by fraction-free elimination
 
-def _echelon(rows, p: int | None) -> int:
+def _echelon(rows, p: int | None) -> list[int]:
     """Fraction-free forward elimination of integer rows in place (Bareiss
-    1968); returns the rank over Q when p is None, else over F_p, the
-    entries being residues mod p.
+    1968); returns, per column j, the rank of the first j + 1 columns over Q
+    when p is None, else over F_p, the entries being residues mod p.
 
     At pivot ``pv`` each lower row with leading entry ``f`` becomes
     ``pv*a - f*b`` entrywise. Over Q it is then divided by the previous
     pivot, exactly: by Sylvester's identity every entry is a minor of the
     input. Mod p there is no division, and a row with ``f == 0`` is left
-    alone, since the step would only scale it by the unit ``pv``.
+    alone, since the step would only scale it by the unit ``pv``. The
+    columns are taken left to right, so the rank after a column is the rank
+    of the prefix it ends.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    rank, prev = 0, 1
+    rank, prev, profile = 0, 1, []
     for col in range(n):
         piv = next((r for r in range(rank, m) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank][col:]
-        pv = top[0]
-        for row in rows[rank + 1:]:
-            f = row[col]
-            if p is None:
-                row[col:] = [(pv * a - f * b) // prev for a, b in zip(row[col:], top)]
-            elif f:
-                row[col:] = [(pv * a - f * b) % p for a, b in zip(row[col:], top)]
-        prev = pv
-        rank += 1
-    return rank
+        if piv is not None:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            top = rows[rank][col:]
+            pv = top[0]
+            for row in rows[rank + 1:]:
+                f = row[col]
+                if p is None:
+                    row[col:] = [(pv * a - f * b) // prev for a, b in zip(row[col:], top)]
+                elif f:
+                    row[col:] = [(pv * a - f * b) % p for a, b in zip(row[col:], top)]
+            prev = pv
+            rank += 1
+        profile.append(rank)
+    return profile
+
+
+def rank_profile(A: Sequence[Sequence[int]], coeff: Coefficients,
+                 ncols: int | None = None) -> list[int]:
+    """Ranks of the column prefixes of an integer matrix over the given
+    coefficients: entry j is the rank of ``A[:, :j]``, for j from 0 to the
+    column count, by one :func:`_echelon` of a copy of A. Rank over Z is
+    reported as rank over Q (the free rank). ``ncols`` counts the columns of
+    a matrix with no rows.
+    """
+    if not A:
+        return [0] * ((ncols or 0) + 1)
+    p = coeff.p  # None over Z and Q
+    rows = [list(row) for row in A] if p is None else [[v % p for v in row] for row in A]
+    return [0, *_echelon(rows, p)]
 
 
 def rank_over(A: Sequence[Sequence[int]], coeff: Coefficients) -> int:
-    """Rank of an integer matrix over the given coefficients, by
-    :func:`_echelon` of a copy of A. Rank over Z is reported as rank over Q
-    (the free rank).
-    """
-    if not A or not A[0]:
-        return 0
-    p = coeff.p  # None over Z and Q
-    rows = [list(row) for row in A] if p is None else [[v % p for v in row] for row in A]
-    return _echelon(rows, p)
+    """Rank of an integer matrix over the given coefficients: the last entry
+    of its :func:`rank_profile`."""
+    return rank_profile(A, coeff)[-1]

@@ -486,10 +486,17 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
     for k in mats:
         if not c.points(k):
             raise ValueError(f"transform given for empty degree {k}")
+    return _conjugate(c, {k: sparse_columns(rows, len(rows)) for k, rows in mats.items()})
 
-    def P_cols(k):  # sparse columns of P_k, the identity where no transform is given
+
+def _conjugate(c: FilteredComplex, transforms) -> FilteredComplex:
+    """c with each D_k replaced by P_{k-1}^{-1} D_k P_k, where ``transforms``
+    maps a degree k to the sparse ``(row, value)`` columns of a value-order
+    upper-triangular P_k with a +-1 diagonal, and P_k is the identity where
+    it maps no k. :func:`change_basis` checks its input and calls this."""
+    def P_cols(k):  # sparse columns of P_k
         n = len(c.points(k))
-        return sparse_columns(mats[k], n) if k in mats else [[(j, 1)] for j in range(n)]
+        return transforms[k] if k in transforms else [((j, 1),) for j in range(n)]
 
     # D_k P_k column by column, then back-substitution against P_{k-1},
     # whose +-1 diagonal keeps every quotient an exact integer

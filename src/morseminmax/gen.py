@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import CriticalPoint, FilteredComplex, change_basis, memoized
+from .complexes import CriticalPoint, FilteredComplex, _conjugate, memoized
 from .errors import InternalInconsistencyError
 
 FIXTURE_NAMES = ("laudenbach", "f0", "capitanio_v", "capitanio_vprime")
@@ -98,10 +98,26 @@ def random_complex_plan(seed: int, sizes: dict[int, int], ambient: int,
     Construction: lay out points in a random ascending-value order such that
     every matched pair opens (lower) before it closes (upper), write the
     matching as a normal-form boundary, then conjugate by random value-order
-    triangular unit-diagonal integer matrices. Unmatched points stay free;
-    with a maximum matching leaving exactly one point unmatched the result
-    carries rank-one torsion-free homology.
+    triangular unit-diagonal integer matrices, drawn as sparse columns.
+    Unmatched points stay free; with a maximum matching leaving exactly one
+    point unmatched the result carries rank-one torsion-free homology.
     """
+    rng, points, boundaries, plan = _layout(seed, sizes, ambient)
+    normal = FilteredComplex.build(ambient, points, boundaries)
+    # per degree of two points or more, the sparse columns of a unit
+    # upper-triangular P_k, each entry above the diagonal drawn, column by
+    # column, with probability 1/2 from [-3, 3]
+    transforms = {k: [[(i, v) for i in range(j) if rng.random() < 0.5
+                       and (v := rng.randint(-3, 3))] + [(j, 1)]
+                      for j in range(len(normal.points(k)))]
+                  for k in normal.degrees() if len(normal.points(k)) >= 2}
+    return _conjugate(normal, transforms), plan
+
+
+def _layout(seed, sizes, ambient):
+    """The seeded generator after the points of :func:`random_complex_plan`
+    are laid out, with their ``(name, degree, value)`` triples, the
+    normal-form boundary of the matching and its plan."""
     if int(ambient) < 1:
         raise ValueError("infeasible sizes: ambient must be >= 1")
     clean: dict[int, int] = {}
@@ -116,25 +132,25 @@ def random_complex_plan(seed: int, sizes: dict[int, int], ambient: int,
     rng = random.Random(seed)
     pair_count = _pair_counts(clean, ambient)
     uppers = dict(pair_count)                      # degree k points closing a pair below
-    lowers = {k: pair_count.get(k + 1, 0) for k in range(0, ambient + 1)}
-    frees = {k: clean.get(k, 0) - uppers.get(k, 0) - lowers.get(k, 0)
-             for k in range(0, ambient + 1)}
+    lowers = {k: pair_count.get(k + 1, 0) for k in range(ambient + 1)}
+    frees = {k: clean.get(k, 0) - uppers[k] - lowers[k]
+             for k in range(ambient + 1)}
     if any(v < 0 for v in frees.values()):
         raise InternalInconsistencyError(
             f"negative free counts {frees} for seed {seed}, sizes {clean}, "
             f"ambient {ambient}")
 
-    open_lowers: dict[int, list[int]] = {k: [] for k in range(0, ambient + 1)}
+    open_lowers: dict[int, list[int]] = {k: [] for k in range(ambient + 1)}
     schedule: list[tuple[str, int, int | None]] = []  # (role, degree, partner slot)
     placed = 0
     while placed < total:
         actions = []
-        for k in range(0, ambient + 1):
-            if frees.get(k, 0):
+        for k in range(ambient + 1):
+            if frees[k]:
                 actions.append(("free", k))
-            if lowers.get(k, 0):
+            if lowers[k]:
                 actions.append(("lower", k))
-            if uppers.get(k, 0) and open_lowers.get(k - 1):
+            if uppers[k] and open_lowers.get(k - 1):
                 actions.append(("upper", k))
         role, k = rng.choice(actions)
         if role == "free":
@@ -151,7 +167,7 @@ def random_complex_plan(seed: int, sizes: dict[int, int], ambient: int,
         placed += 1
 
     denominator = rng.choice((1, 1, 2, 4))
-    raw = sorted(rng.sample(range(0, 4 * total + 1), total))
+    raw = sorted(rng.sample(range(4 * total + 1), total))
     width = len(str(total - 1))
     names = [f"p{i:0{width}d}" for i in range(total)]
     points = [(names[i], schedule[i][1], Fraction(raw[i], denominator))
@@ -169,22 +185,8 @@ def random_complex_plan(seed: int, sizes: dict[int, int], ambient: int,
         raise InternalInconsistencyError(
             f"unclosed pair slots {open_lowers} for seed {seed}, sizes {clean}, "
             f"ambient {ambient}")
-    normal = FilteredComplex.build(ambient, points, boundaries)
-
-    transforms = {}
-    for k in normal.degrees():
-        mk = len(normal.points(k))
-        if mk < 2:
-            continue
-        P = [[1 if i == j else 0 for j in range(mk)] for i in range(mk)]
-        for j in range(1, mk):
-            for i in range(j):
-                if rng.random() < 0.5:
-                    P[i][j] = rng.randint(-3, 3)
-        transforms[k] = P
-    out = change_basis(normal, transforms) if transforms else normal
     plan = BuildPlan(pairs=tuple(sorted(plan_pairs)), free=tuple(sorted(plan_free)))
-    return out, plan
+    return rng, points, boundaries, plan
 
 
 def random_complex(seed: int, sizes: dict[int, int], ambient: int) -> FilteredComplex:
@@ -230,8 +232,13 @@ def perturb_values(c: FilteredComplex, eps, seed: int) -> FilteredComplex:
     if gap is not None and eps >= gap / 2:
         raise ValueError(f"perturbation {eps} too large: must be below {gap / 2}")
     rng = random.Random(("perturb", seed).__repr__())
-    shift = {p.name: eps * Fraction(rng.randint(-16, 16), 16) for p in c.all_points()}
-    points = {k: tuple(CriticalPoint(p.name, k, p.value + shift[p.name]) for p in c.points(k))
+    # a/b + (e/d) * (r/16) as one Fraction
+    e, d = eps.as_integer_ratio()
+    moved = {}
+    for p in c.all_points():
+        a, b = p.value.as_integer_ratio()
+        moved[p.name] = Fraction(16 * a * d + e * rng.randint(-16, 16) * b, 16 * b * d)
+    points = {k: tuple(CriticalPoint(p.name, k, moved[p.name]) for p in c.points(k))
               for k in c.degrees()}
     return FilteredComplex(c.ambient_dim, points, {k: c.columns(k) for k in c.degrees()},
                            {k: c.ranks(k) for k in c.degrees()})

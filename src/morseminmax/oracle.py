@@ -1,14 +1,16 @@
 """Independent recomputation used to cross-check the reduction and selectors.
 
 The routes here avoid the column reduction entirely. Over a field every
-number is the rank (``rank_over``) of a submatrix of a boundary matrix D_k,
-whose rows and columns are the degree k-1 and degree k points in value
-order. Homology ranks come from whole matrices, the pairing from the ranks
+number is a rank of a submatrix of a boundary matrix D_k, whose rows and
+columns are the degree k-1 and degree k points in value order. Homology
+ranks come from whole matrices (``rank_over``), the pairing from the ranks
 of the lower-left blocks ``D_k[m:, :j]`` (the pairing lemma of
 Cohen-Steiner, Edelsbrunner and Morozov 2006), and the minmax from the
-ranks of H_k of prefixes, which are sums of such ranks. Over Z, homology
-and torsion come from Smith forms of whole boundary matrices, where the
-fast path takes a Smith form only of the small residue its integer
+ranks of H_k of prefixes, which are sums of such ranks. One elimination
+gives the ranks of every column prefix of a matrix (``rank_profile``), so
+the pairing takes one per row offset m and the minmax two in all. Over Z,
+homology and torsion come from Smith forms of whole boundary matrices, where
+the fast path takes a Smith form only of the small residue its integer
 reduction leaves, and the global index is read off that homology. So the
 oracle computes only with integers and residues mod p: Q ranks come from
 the same fraction-free elimination as F_p ranks. Within the package only
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import INTEGERS, Coefficients, invariant_factors, rank_over
+from .coeff import INTEGERS, Coefficients, invariant_factors, rank_over, rank_profile
 from .complexes import CriticalPoint, FilteredComplex, memoized
 from .errors import InternalInconsistencyError, NotAdmissibleError
 
@@ -91,15 +93,16 @@ def pairs_by_rank(c: FilteredComplex, field: Coefficients,
     With r(m, j) the rank of ``D_k[m:, :j]``, row m is the pivot of column
     j in every reduction exactly when r(m, j+1) - r(m, j) - r(m+1, j+1)
     + r(m+1, j) is 1 (the pairing lemma of Cohen-Steiner, Edelsbrunner and
-    Morozov 2006); any other nonzero value is an inconsistency.
+    Morozov 2006); any other nonzero value is an inconsistency. Row m of r
+    is the rank profile of ``D_k[m:, :]``.
     """
     if not field.is_field:
         raise ValueError("submatrix ranks are computed over a field")
     pairs = set()
     for k in c.degrees():
         lower, upper = c.points(k - 1), c.points(k)
-        r = [[_rank(c, field, k, m, j) for j in range(len(upper) + 1)]
-             for m in range(len(lower) + 1)]
+        d = c.matrix(k)
+        r = [rank_profile(d[m:], field, len(upper)) for m in range(len(lower) + 1)]
         for m, low in enumerate(lower):
             for j, up in enumerate(upper):
                 mult = r[m][j + 1] - r[m][j] - r[m + 1][j + 1] + r[m + 1][j]
@@ -131,12 +134,20 @@ def _global_index(c: FilteredComplex) -> int:
 def minmax_scan_field(c: FilteredComplex, field: Coefficients,
                       ) -> tuple[Fraction, CriticalPoint]:
     """Smallest critical value whose prefix cycles already generate the
-    degree-lambda homology of the whole complex, by direct rank computation."""
+    degree-lambda homology of the whole complex, by direct rank computation.
+
+    The prefix rank of :func:`_prefix_rank` with every degree-(lambda+1)
+    point, for each prefix at once: ranks of the column prefixes of
+    D_lambda, and of the row suffixes of D_{lambda+1}, which are the column
+    prefixes of D_{lambda+1} with its rows reversed, transposed.
+    """
     if not field.is_field:
         raise ValueError("submatrix ranks are computed over a field")
     lam = _global_index(c)
-    top = len(c.points(lam + 1))
-    for cs, point in enumerate(c.points(lam), start=1):
-        if _prefix_rank(c, field, lam, cs, top) >= 1:
+    points = c.points(lam)
+    down = rank_profile(c.matrix(lam), field, len(points))
+    up = rank_profile(list(zip(*c.matrix(lam + 1)[::-1])), field, len(points))[::-1]
+    for cs, point in enumerate(points, start=1):
+        if cs - down[cs] - up[0] + up[cs] >= 1:
             return point.value, point
     raise InternalInconsistencyError("no prefix generates the global class")

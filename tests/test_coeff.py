@@ -10,6 +10,7 @@ from morseminmax.coeff import (
     invariant_factors,
     is_prime,
     rank_over,
+    rank_profile,
     smith_normal_form,
     sparse_product_columns,
     sparse_subtract,
@@ -117,6 +118,49 @@ def _diagonal_by_minor_gcds(A):
             min_size=m, max_size=m))))
 def test_snf_diagonal_matches_minor_gcds(A):
     assert smith_normal_form(A).diagonal == _diagonal_by_minor_gcds(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda m: st.integers(0, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+            min_size=m, max_size=m).map(lambda A: (A, n)))))
+def test_invariant_factors_without_u_and_v(case):
+    # the elimination without U and V gives the diagonal that the one with
+    # them gives, and the gcds of minors fix
+    A, n = case
+    diagonal = smith_normal_form(A, ncols=n).diagonal
+    assert invariant_factors(A, ncols=n) == tuple(d for d in diagonal if d)
+    if A and n:
+        assert invariant_factors(A) == tuple(d for d in _diagonal_by_minor_gcds(A) if d)
+
+
+def test_invariant_factors_of_empty_shapes():
+    assert invariant_factors([]) == invariant_factors([], ncols=3) == ()
+    assert invariant_factors([[], []], ncols=0) == invariant_factors([[], []]) == ()
+    with pytest.raises(ValueError, match="ragged"):
+        invariant_factors([[1, 2], [3]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.sampled_from([None, 2, 3, 5]))
+def test_rank_profile_is_the_rank_of_every_column_prefix(A, p):
+    coeff = RATIONALS if p is None else Coefficients.prime_field(p)
+    n = len(A[0]) if A else 0
+    profile = rank_profile(A, coeff, n)
+    assert profile == [rank_over([row[:j] for row in A], coeff) for j in range(n + 1)]
+    if p is None:
+        assert profile == [rank_fraction([row[:j] for row in A]) for j in range(n + 1)]
+
+
+def test_rank_profile_examples():
+    assert rank_profile([], RATIONALS, 3) == [0, 0, 0, 0]
+    assert rank_profile([[], []], RATIONALS) == [0]
+    # the last two columns have determinant 2, so mod 2 the rank stays at 1
+    assert rank_profile([[0, 2, 4], [0, 1, 3]], RATIONALS) == [0, 0, 1, 2]
+    assert rank_profile([[0, 2, 4], [0, 1, 3]], Coefficients.prime_field(2)) == [0, 0, 1, 1]
+    assert rank_profile([[1, 2, 3]], INTEGERS) == [0, 1, 1, 1]  # over Z as over Q
 
 
 def test_rank_over_examples():

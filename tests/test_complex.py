@@ -362,21 +362,22 @@ def test_homology_data_matches_oracle():
 
 
 def test_validate_needs_no_smith_form_or_echelon_when_certified(monkeypatch):
-    # a record of the shapes validate hands to smith_normal_form: none on a
-    # certified complex, and on an obstructed one only the small residue of
-    # its non-unit pivots, however large the complex
+    # a record of the shapes validate hands to the Smith elimination, which
+    # invariant_factors and smith_normal_form share: none on a certified
+    # complex, and on an obstructed one only the small residue of its
+    # non-unit pivots, however large the complex
     shapes, echelons = [], []
-    smith, echelon = coeff.smith_normal_form, coeff._echelon
+    smith, echelon = coeff._smith, coeff._echelon
 
-    def recording(A, *, ncols=None):
+    def recording(A, ncols, uv):
         shapes.append((len(A), len(A[0]) if A else ncols))
-        return smith(A, ncols=ncols)
+        return smith(A, ncols, uv)
 
     def counting(rows, field):
         echelons.append(len(rows))
         return echelon(rows, field)
 
-    monkeypatch.setattr(coeff, "smith_normal_form", recording)
+    monkeypatch.setattr(coeff, "_smith", recording)
     monkeypatch.setattr(coeff, "_echelon", counting)
     certified = [paper_fixture("f0")]
     certified += [random_admissible_complex(seed, max_points=30) for seed in range(20)]

@@ -1,12 +1,14 @@
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from morseminmax import gen
 from morseminmax.barannikov import reduce
 from morseminmax.coeff import RATIONALS
-from morseminmax.complexes import (FilteredComplex, global_index, parse_complex, serialize,
-                                   validate)
+from morseminmax.complexes import (FilteredComplex, change_basis, global_index, parse_complex,
+                                   serialize, validate)
 from morseminmax.gen import (
     FIXTURE_NAMES,
     min_value_gap,
@@ -80,6 +82,66 @@ def test_random_complex_plan_recovered_many_seeds():
         form = reduce(c, RATIONALS)
         assert form.pair_names() == set(plan.pairs)
         assert form.free_names() == set(plan.free)
+
+
+def dense_construction(seed, sizes, ambient):
+    """random_complex_plan as first written: build the normal complex, draw
+    each transform as a dense matrix, entry by entry, and conjugate by the
+    dense change_basis."""
+    rng, points, boundaries, plan = gen._layout(seed, sizes, ambient)
+    normal = FilteredComplex.build(ambient, points, boundaries)
+    transforms = {}
+    for k in normal.degrees():
+        mk = len(normal.points(k))
+        if mk < 2:
+            continue
+        P = [[1 if i == j else 0 for j in range(mk)] for i in range(mk)]
+        for j in range(1, mk):
+            for i in range(j):
+                if rng.random() < 0.5:
+                    P[i][j] = rng.randint(-3, 3)
+        transforms[k] = P
+    return (change_basis(normal, transforms) if transforms else normal), plan
+
+
+@pytest.fixture(scope="module")
+def construction_cases():
+    """(seed, sizes, ambient) of the fuzz sizes, as random_admissible_complex
+    draws them at 40 and 200 points, and of the bench's dense sizes."""
+    cases = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gen, "random_complex_plan",
+                   lambda *args: cases.append(args) or (FilteredComplex.build(1, []), None))
+        for seed in range(200):
+            random_admissible_complex(seed, max_points=40)
+        for seed in range(3):
+            random_admissible_complex(seed, max_points=200)
+    cases += [(seed, {1: 15, 2: 31, 3: 15}, 4) for seed in (0, 1, 2, 1000)]
+    cases += [(seed, {1: 35, 2: 71, 3: 35}, 4) for seed in (0, 1000)]
+    return cases
+
+
+def fingerprint(c, plan):
+    return serialize(c), [c.ranks(k) for k in c.degrees()], plan
+
+
+def test_random_complex_plan_equals_the_dense_construction(construction_cases):
+    for case in construction_cases:
+        assert fingerprint(*random_complex_plan(*case)) == \
+            fingerprint(*dense_construction(*case)), case
+
+
+def test_random_complex_plan_bytes_are_pinned(construction_cases):
+    # the digest of these cases as the dense construction made them, before
+    # the transforms were drawn as sparse columns; it also pins the layout,
+    # which the two constructions share
+    digest = hashlib.sha256()
+    for case in construction_cases:
+        for part in fingerprint(*random_complex_plan(*case)):
+            digest.update(str(part).encode())
+    assert len(construction_cases) == 209
+    assert digest.hexdigest() == ("14c7bd41ed1889baa497deff1d4cd61c"
+                                  "c865c5043cfb21dbe058b87a91f1593a")
 
 
 def test_random_complex_oracle_agreement():

@@ -6,8 +6,10 @@ from morseminmax import oracle
 from morseminmax.barannikov import betti, reduce
 from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS
 from morseminmax.complexes import FilteredComplex, restrict
-from morseminmax.gen import paper_fixture, random_admissible_complex, single_point
-from morseminmax.oracle import _prefix_rank, homology, minmax_scan_field, pairs_by_rank
+from morseminmax.gen import (FIXTURE_NAMES, paper_fixture, random_admissible_complex,
+                             single_point)
+from morseminmax.oracle import (_global_index, _prefix_rank, _rank, homology,
+                                minmax_scan_field, pairs_by_rank)
 from morseminmax.selector import minmax_field
 
 F2 = Coefficients.prime_field(2)
@@ -82,6 +84,37 @@ def test_minmax_scan_matches_free_point_route():
         c = random_admissible_complex(seed, max_points=14)
         for field in (F2, RATIONALS):
             assert minmax_scan_field(c, field) == minmax_field(c, field)
+
+
+def pairs_by_submatrix_ranks(c, field):
+    """pairs_by_rank with one elimination per submatrix D_k[m:, :j]."""
+    pairs = set()
+    for k in c.degrees():
+        lower, upper = c.points(k - 1), c.points(k)
+        r = [[_rank(c, field, k, m, j) for j in range(len(upper) + 1)]
+             for m in range(len(lower) + 1)]
+        for m, low in enumerate(lower):
+            for j, up in enumerate(upper):
+                if r[m][j + 1] - r[m][j] - r[m + 1][j + 1] + r[m + 1][j]:
+                    pairs.add((up, low))
+    return pairs
+
+
+def scan_by_submatrix_ranks(c, field):
+    """minmax_scan_field with two eliminations per prefix."""
+    lam = _global_index(c)
+    top = len(c.points(lam + 1))
+    return next((p.value, p) for cs, p in enumerate(c.points(lam), start=1)
+                if _prefix_rank(c, field, lam, cs, top) >= 1)
+
+
+def test_rank_profiles_match_the_submatrix_route():
+    cases = [paper_fixture(name) for name in FIXTURE_NAMES]
+    cases += [random_admissible_complex(seed) for seed in range(200)]
+    for c in cases:
+        for field in (F2, F3, RATIONALS):
+            assert pairs_by_rank(c, field) == pairs_by_submatrix_ranks(c, field)
+            assert minmax_scan_field(c, field) == scan_by_submatrix_ranks(c, field)
 
 
 def test_betti_matches_homology(laudenbach):

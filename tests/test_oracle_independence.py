@@ -31,8 +31,8 @@ FORBIDDEN = {
 
 # the fast path reaches Smith code only through invariant_factors, on the
 # residue of an integer reduction
-REFERENCE = {"rank_over", "_echelon", "smith_normal_form", "SmithDecomposition",
-             "identity_matrix"}
+REFERENCE = {"rank_over", "rank_profile", "_echelon", "smith_normal_form", "_smith",
+             "SmithDecomposition", "identity_matrix"}
 
 
 def imported_names(source: str) -> set[str]:
