@@ -35,6 +35,11 @@ first one. A column that meets a non-unit pivot takes Euclid's step (floor
 division, and a remainder takes the row over), so the reduction finishes
 and its zeroed columns are an echelon basis of the integer cycles. It is
 memoized per degree, and homology and the integer selectors read it too.
+It reads no critical value, so it and the verified integer basis change and
+normal form live in the complex's shared store (see :mod:`.complexes`) and
+serve every complex that differs only in its values; :func:`reduce_integer`
+reads the pairs and free points off that normal form with each complex's
+own points.
 
 A certificate over Z is one over every field: the change of coefficients
 Z -> Q or Z -> F_p keeps the basis change triangular with a unit diagonal
@@ -124,10 +129,10 @@ def _reduce_degree(columns, coeff: Coefficients):
     return pairs, C, R, first
 
 
-@memoized
+@memoized(value_free=True)
 def _integer_reduction(c: FilteredComplex, k: int):
     """``_reduce_degree`` of the degree-k boundary over Z, memoized per
-    complex and degree. Its readers share it, so none may modify it."""
+    shared store and degree. Its readers share it, so none may modify it."""
     return _reduce_degree(c.columns(k), INTEGERS)
 
 
@@ -203,27 +208,35 @@ IntegerReductionOutcome = Union[Certified, Obstructed]
 
 def _assemble(c: FilteredComplex, per_degree, coeff) -> CanonicalForm:
     """P_k = C_k except that a pivot row m of D_k takes the reduced column
-    R_j (pivot 1) of its partner j, and B_k holds a 1 at (m, j)."""
+    R_j (pivot 1) of its partner j, and B_k holds a 1 at (m, j). The form
+    is verified and value-free: its pairs and free stay empty until
+    :func:`_label` reads them off B_k with c's points."""
     Pcols = {k: list(C) for k, (_, C, _) in per_degree.items()}  # C may be memoized
     Bcols = {k: [()] * len(c.points(k)) for k in per_degree}
-    partner = {}  # upper point name -> (upper, lower)
     for k, (pairs, _C, R) in per_degree.items():
         for j, m in pairs.items():
             Pcols[k - 1][m] = R[j]
             Bcols[k][j] = ((m, 1),)
-            upper = c.points(k)[j]
-            partner[upper.name] = (upper, c.points(k - 1)[m])
-    paired = {p.name for pair in partner.values() for p in pair}
-    order = c.all_points()  # ascending value, so pairs come out ordered by upper point
-    form = CanonicalForm(
-        coeff=coeff,
-        pairs=tuple(partner[p.name] for p in order if p.name in partner),
-        free=tuple(p for p in order if p.name not in paired),
-        basis=Pcols,
-        normal={k: tuple(B) for k, B in Bcols.items()},
-    )
+    form = CanonicalForm(coeff=coeff, pairs=(), free=(), basis=Pcols,
+                         normal={k: tuple(B) for k, B in Bcols.items()})
     _verify_normal_form(c, form)
     return form
+
+
+def _label(c: FilteredComplex, form: CanonicalForm) -> CanonicalForm:
+    """The form with c's own points in its pairs and free: a column j of B_k
+    that holds a 1 in row m couples point j of degree k with point m of
+    degree k - 1, and every point left uncoupled is free."""
+    partner = {}  # upper point name -> (upper, lower)
+    for k, B in form.normal.items():
+        lower = c.points(k - 1)
+        for upper, col in zip(c.points(k), B):
+            if col:
+                partner[upper.name] = (upper, lower[col[0][0]])
+    paired = {p.name for pair in partner.values() for p in pair}
+    order = c.all_points()  # ascending value, so pairs come out ordered by upper point
+    return replace(form, pairs=tuple(partner[p.name] for p in order if p.name in partner),
+                   free=tuple(p for p in order if p.name not in paired))
 
 
 @memoized
@@ -261,7 +274,7 @@ def reduce(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
 def _field_form(c: FilteredComplex, field: Coefficients) -> CanonicalForm:
     """The canonical form over a field by reducing every degree over it."""
     per_degree = {k: _reduce_degree(c.columns(k), field)[:3] for k in c.degrees()}
-    return _assemble(c, per_degree, field)
+    return _label(c, _assemble(c, per_degree, field))
 
 
 @memoized
@@ -272,15 +285,27 @@ def reduce_integer(c: FilteredComplex) -> IntegerReductionOutcome:
     brings the boundary to normal form; the pairing then agrees with the
     rational one. Obstructed returns the first non-unit pivot as a
     witness and claims nothing else. The outcome is memoized like
-    :func:`reduce`.
+    :func:`reduce`, and only labels :func:`_integer_outcome` with c's points.
     """
+    outcome = _integer_outcome(c)
+    if isinstance(outcome, CanonicalForm):
+        return Certified(form=_label(c, outcome))
+    k, j, pivot = outcome
+    return Obstructed(column=c.points(k)[j], pivot=pivot)
+
+
+@memoized(value_free=True)
+def _integer_outcome(c: FilteredComplex):
+    """The value-free part of :func:`reduce_integer`: the verified integer
+    form of :func:`_assemble`, or ``(degree, position, pivot)`` of the first
+    non-unit pivot."""
     per_degree = {}
     for k in c.degrees():
         pairs, C, R, first = _integer_reduction(c, k)
         if first is not None:
-            return Obstructed(column=c.points(k)[first[0]], pivot=first[1])
+            return k, *first
         per_degree[k] = pairs, C, R
-    return Certified(form=_assemble(c, per_degree, INTEGERS))
+    return _assemble(c, per_degree, INTEGERS)
 
 
 def free_points(c: FilteredComplex, field: Coefficients) -> tuple[CriticalPoint, ...]:

@@ -15,9 +15,16 @@ later order test compares ranks. Nonzero entries must point strictly downward
 in value, values must be pairwise distinct, and d∘d must vanish.
 
 Results computed from a complex are memoized on it by :func:`memoized`, the
-only code that touches the per-complex store. The contract: keys never
-collide across modules, a stored value is shared and must not be modified,
-and a call that raises stores nothing.
+only code that touches its two stores. The per-complex store holds results
+that may read critical values. The shared store holds value-free results,
+those that read no ``.value``: it is shared by every complex whose stored
+form differs only in its critical values (same ambient, names, degrees,
+ranks and columns), which :meth:`FilteredComplex._revalued` and
+:func:`negate` make. Every other operation, ``build`` and ``parse_complex``
+included, gives its result fresh stores. The contract: keys never collide
+across modules, a stored value is shared and must not be modified, a
+value-free result reads no ``.value`` and holds no point, and a call that
+raises stores nothing.
 """
 
 from __future__ import annotations
@@ -43,21 +50,25 @@ from .grammar import NAME_RE, parse_value, read_complex
 _MISSING = object()
 
 
-def memoized(fn):
-    """Memoize ``fn(c, *args)`` on the complex ``c`` under the contract above.
+def memoized(fn=None, *, value_free=False):
+    """Memoize ``fn(c, *args)`` on the complex ``c`` under the contract above,
+    in its shared store when ``value_free``, else in its own.
 
     The key is ``fn``'s module-qualified name, fixed when ``fn`` is
     decorated, followed by the hashable ``args``. Two threads may compute
     the same entry twice, never a wrong one.
     """
+    if fn is None:
+        return functools.partial(memoized, value_free=value_free)
     name = f"{fn.__module__}.{fn.__qualname__}"
+    store = "_frame" if value_free else "_cache"
 
     @functools.wraps(fn)
     def wrapper(c, *args):
-        key = (name, *args)
-        value = c._cache.get(key, _MISSING)
+        key, cache = (name, *args), getattr(c, store)
+        value = cache.get(key, _MISSING)
         if value is _MISSING:
-            value = c._cache[key] = fn(c, *args)
+            value = cache[key] = fn(c, *args)
         return value
 
     return wrapper
@@ -104,12 +115,13 @@ class FilteredComplex:
     """
 
     __slots__ = ("ambient_dim", "_points", "_columns", "_ranks", "_by_name", "_position",
-                 "_cache")
+                 "_cache", "_frame")
 
-    def __init__(self, ambient_dim, points_by_degree, columns, ranks):
+    def __init__(self, ambient_dim, points_by_degree, columns, ranks, frame=None):
         """``points_by_degree`` maps each degree that has points to its
         points sorted by (value, name); ``columns`` and ``ranks`` map the
-        same degrees to one entry per point, as their accessors return it."""
+        same degrees to one entry per point, as their accessors return it.
+        ``frame`` is the shared store, a fresh one by default."""
         self.ambient_dim = ambient_dim
         self._points = points_by_degree
         self._columns = columns
@@ -118,6 +130,7 @@ class FilteredComplex:
         self._position = {p.name: i for pts in points_by_degree.values()
                           for i, p in enumerate(pts)}
         self._cache = {}
+        self._frame = {} if frame is None else frame
 
     @classmethod
     def build(cls, ambient_dim: int,
@@ -236,6 +249,13 @@ class FilteredComplex:
                        for r, p in zip(self._ranks[k], pts))
         return tuple(r for r, _, _ in order), tuple(p for *_, p in order)
 
+    def _revalued(self, points_by_degree) -> "FilteredComplex":
+        """This complex with new points, of the same names in the same order,
+        whose values order and tie as the old ones do; it shares this
+        complex's stored form and shared store."""
+        return FilteredComplex(self.ambient_dim, points_by_degree, self._columns, self._ranks,
+                               self._frame)
+
     @property
     def n_points(self) -> int:
         return len(self._by_name)
@@ -299,7 +319,7 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
 # ---------------------------------------------------------------------------
 # validation and admissibility
 
-@memoized
+@memoized(value_free=True)
 def _homology_data(c: FilteredComplex):
     """Per-degree rational ranks and integer torsion divisors, memoized.
 
@@ -307,11 +327,11 @@ def _homology_data(c: FilteredComplex):
     of D_k is its pivot count, and the torsion in degree k is the invariant
     factors above 1 of D_{k+1}. Only the small residue of its non-unit
     pivots takes a Smith form, so a certified complex takes none; its
-    normal form is still verified, since ``reduce_integer`` runs first.
+    normal form is still verified, since ``_integer_outcome`` runs first.
     """
     # barannikov imports this module, so the reductions are imported here
-    from .barannikov import _integer_reduction, _invariant_factors, reduce_integer
-    reduce_integer(c)
+    from .barannikov import _integer_outcome, _integer_reduction, _invariant_factors
+    _integer_outcome(c)
     factors = {k: _invariant_factors(_integer_reduction(c, k)) for k in c.degrees()}
     ranks = {k: len(c.points(k)) - len(f) - len(factors.get(k + 1, ()))
              for k, f in factors.items()}
@@ -319,7 +339,7 @@ def _homology_data(c: FilteredComplex):
     return ranks, torsion
 
 
-@memoized
+@memoized(value_free=True)
 def _admissibility(c: FilteredComplex):
     """Return (global index or None, findings) for a structurally valid complex."""
     ranks, torsion = _homology_data(c)
@@ -408,24 +428,42 @@ def negate(c: FilteredComplex) -> FilteredComplex:
     Boundary matrices of the result are the anti-transposes of the originals
     (transpose with both row and column order reversed); points of tied value
     keep their name order, and rank r becomes ``n_points - 1 - r``. The result
-    is memoized on the (immutable) input.
+    is memoized on the (immutable) input. Only its points are made here; the
+    rest comes from :func:`_negated_frame`, so the negations of complexes that
+    share a store share theirs, while ``negate(negate(c))`` has a fresh one.
     """
+    n = c.ambient_dim
+    points = {n - k: tuple(CriticalPoint(pts[i].name, n - k, -pts[i].value)
+                           for i in _descending(c.ranks(k)))
+              for k in c.degrees() for pts in (c.points(k),)}
+    return FilteredComplex(n, points, *_negated_frame(c))
+
+
+def _descending(ranks) -> list[int]:
+    """Positions by descending rank; reverse=True keeps the sort stable, so
+    tied values stay in name order."""
+    return sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True)
+
+
+@memoized(value_free=True)
+def _negated_frame(c: FilteredComplex):
+    """The columns, ranks and shared store of :func:`negate`'s result: the
+    anti-transposed columns and the ranks ``n_points - 1 - r`` in the
+    order of :func:`_descending`, and a fresh store."""
     n, top = c.ambient_dim, c.n_points - 1
-    points, ranks, position, columns = {}, {}, {}, {}
+    ranks, position, columns = {}, {}, {}
     for k in c.degrees():
-        pts, rk = c.points(k), c.ranks(k)
-        # reverse=True keeps the sort stable, so tied values stay in name order
-        order = sorted(range(len(pts)), key=rk.__getitem__, reverse=True)
-        points[n - k] = tuple(CriticalPoint(pts[i].name, n - k, -pts[i].value) for i in order)
+        rk = c.ranks(k)
+        order = _descending(rk)
         ranks[n - k] = tuple(top - rk[i] for i in order)
-        position[k] = dict(zip(order, range(len(pts))))
-        columns[n - k] = [[] for _ in pts]
+        position[k] = dict(zip(order, range(len(rk))))
+        columns[n - k] = [[] for _ in rk]
     for k in c.degrees():
         for j, col in enumerate(c.columns(k)):
             for m, v in col:  # entry (m, j) of D_k: old lower point m hits old point j
                 columns[n - k + 1][position[k - 1][m]].append((position[k][j], v))
-    return FilteredComplex(n, points, {k: tuple(tuple(sorted(col)) for col in cols)
-                                       for k, cols in columns.items()}, ranks)
+    return {k: tuple(tuple(sorted(col)) for col in cols)
+            for k, cols in columns.items()}, ranks, {}
 
 
 def restrict(c: FilteredComplex, lo, hi) -> FilteredComplex:

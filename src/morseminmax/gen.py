@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,30 +142,26 @@ def _layout(seed, sizes, ambient):
             f"ambient {ambient}")
 
     open_lowers: dict[int, list[int]] = {k: [] for k in range(ambient + 1)}
-    schedule: list[tuple[str, int, int | None]] = []  # (role, degree, partner slot)
-    placed = 0
-    while placed < total:
-        actions = []
-        for k in range(ambient + 1):
-            if frees[k]:
-                actions.append(("free", k))
-            if lowers[k]:
-                actions.append(("lower", k))
-            if uppers[k] and open_lowers.get(k - 1):
-                actions.append(("upper", k))
-        role, k = rng.choice(actions)
-        if role == "free":
-            frees[k] -= 1
-            schedule.append(("free", k, None))
-        elif role == "lower":
-            lowers[k] -= 1
+    schedule: list[tuple[int, int, int | None]] = []  # (role, degree, partner slot)
+    # the roles open to the next point as (degree, role), sorted, with role 0
+    # free, 1 lower and 2 upper; an upper needs an open lower one degree down
+    left = frees, lowers, uppers
+    actions = sorted((k, role) for role in (0, 1) for k, n in left[role].items() if n)
+    for placed in range(total):
+        action = k, role = rng.choice(actions)
+        left[role][k] -= 1
+        if not left[role][k]:
+            actions.remove(action)
+        partner = None
+        if role == 1:
+            if not open_lowers[k] and uppers.get(k + 1):
+                bisect.insort(actions, (k + 1, 2))
             open_lowers[k].append(placed)
-            schedule.append(("lower", k, None))
-        else:
-            uppers[k] -= 1
+        elif role == 2:
             partner = open_lowers[k - 1].pop(rng.randrange(len(open_lowers[k - 1])))
-            schedule.append(("upper", k, partner))
-        placed += 1
+            if uppers[k] and not open_lowers[k - 1]:
+                actions.remove(action)
+        schedule.append((role, k, partner))
 
     denominator = rng.choice((1, 1, 2, 4))
     raw = sorted(rng.sample(range(4 * total + 1), total))
@@ -176,10 +173,10 @@ def _layout(seed, sizes, ambient):
     plan_pairs = []
     plan_free = []
     for i, (role, _k, partner) in enumerate(schedule):
-        if role == "upper":
+        if role == 2:
             boundaries[names[i]] = {names[partner]: 1}
             plan_pairs.append((names[i], names[partner]))
-        elif role == "free":
+        elif role == 0:
             plan_free.append(names[i])
     if any(open_lowers.values()):
         raise InternalInconsistencyError(
@@ -224,6 +221,9 @@ def perturb_values(c: FilteredComplex, eps, seed: int) -> FilteredComplex:
 
     Requires eps below half the minimum gap between critical values so the
     value order, and with it every stored boundary column and rank, is kept.
+    So the result is a value sibling of c (``FilteredComplex._revalued``):
+    it shares c's shared store, and every value-free result computed on one
+    of them serves the other.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -238,7 +238,5 @@ def perturb_values(c: FilteredComplex, eps, seed: int) -> FilteredComplex:
     for p in c.all_points():
         a, b = p.value.as_integer_ratio()
         moved[p.name] = Fraction(16 * a * d + e * rng.randint(-16, 16) * b, 16 * b * d)
-    points = {k: tuple(CriticalPoint(p.name, k, moved[p.name]) for p in c.points(k))
-              for k in c.degrees()}
-    return FilteredComplex(c.ambient_dim, points, {k: c.columns(k) for k in c.degrees()},
-                           {k: c.ranks(k) for k in c.degrees()})
+    return c._revalued({k: tuple(CriticalPoint(p.name, k, moved[p.name]) for p in c.points(k))
+                        for k in c.degrees()})

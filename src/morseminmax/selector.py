@@ -83,8 +83,14 @@ def minmax_int(c: FilteredComplex) -> Selected:
     return _minmax_int_at(c, global_index(c))
 
 
-@memoized
 def _minmax_int_at(c: FilteredComplex, lam: int) -> Selected:
+    point = c.points(lam)[_minmax_int_index(c, lam)]
+    return point.value, point
+
+
+@memoized(value_free=True)
+def _minmax_int_index(c: FilteredComplex, lam: int) -> int:
+    """Position of the integer minmax witness among the degree-lam points."""
     _, H, R, _ = _integer_reduction(c, lam)
     cycles = {j: H[j] for j, col in enumerate(R) if not col}  # H[j] ends at j
     Y = []
@@ -99,8 +105,7 @@ def _minmax_int_at(c: FilteredComplex, lam: int) -> Selected:
         raise InternalInconsistencyError(
             f"cycle/boundary presentation has rank {len(cycles) - len(pairs)}, not one")
     units = {m for j, m in pairs.items() if RY[j][m] in (1, -1)}
-    point = c.points(lam)[max(cycles.keys() - units)]
-    return point.value, point
+    return max(cycles.keys() - units)
 
 
 def maxmin_int(c: FilteredComplex) -> Selected:

@@ -119,9 +119,10 @@ def test_matrix_readers_sees_an_outside_read():
 
 
 def cache_readers(source: str) -> list[int]:
-    """Line numbers of every ``._cache`` attribute access in ``source``."""
+    """Line numbers of every access to a memo store, ``._cache`` or the
+    shared ``._frame``, in ``source``."""
     return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr == "_cache"]
+            if isinstance(node, ast.Attribute) and node.attr in ("_cache", "_frame")]
 
 
 def test_only_complexes_touches_the_memo_store():
@@ -135,3 +136,4 @@ def test_only_complexes_touches_the_memo_store():
 def test_cache_readers_sees_an_outside_read():
     source = (PACKAGE / "oracle.py").read_text()
     assert cache_readers(source + "\ndef peek(c):\n    return c._cache.get('rank')\n")
+    assert cache_readers(source + "\ndef peek(c):\n    return c._frame.get('rank')\n")

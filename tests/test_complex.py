@@ -586,22 +586,37 @@ def test_memo_keys_do_not_collide_across_modules(f0):
 
 
 def test_memo_stores_nothing_for_a_call_that_raises(f0):
-    calls = []
+    for value_free in (False, True):  # the complex's own store, then the shared one
+        calls = []
 
-    @memoized
-    def flaky(c):
-        calls.append(c)
-        if len(calls) == 1:
-            raise RuntimeError("first call fails")
-        return len(calls)
+        @memoized(value_free=value_free)
+        def flaky(c):
+            calls.append(c)
+            if len(calls) == 1:
+                raise RuntimeError("first call fails")
+            return len(calls)
 
-    with pytest.raises(RuntimeError):
-        flaky(f0)
-    assert (flaky(f0), flaky(f0), len(calls)) == (2, 2, 2)
-    before = dict(f0._cache)
+        before = dict(f0._cache), dict(f0._frame)
+        with pytest.raises(RuntimeError):
+            flaky(f0)
+        assert (dict(f0._cache), dict(f0._frame)) == before
+        assert (flaky(f0), flaky(f0), len(calls)) == (2, 2, 2)
+    before = dict(f0._cache), dict(f0._frame)
     with pytest.raises(ValueError, match="reduce_integer"):
         reduce(f0, INTEGERS)
-    assert f0._cache == before
+    assert (dict(f0._cache), dict(f0._frame)) == before
+
+
+def test_memo_keeps_the_two_stores_apart(f0):
+    def probe(c):
+        return store
+    probe.__module__, probe.__qualname__ = "gamma", "probe"
+
+    store = "own"
+    assert memoized(probe)(f0) == "own"
+    store = "shared"
+    assert memoized(value_free=True)(probe)(f0) == "shared"
+    assert f0._cache[("gamma.probe",)] == "own" and f0._frame[("gamma.probe",)] == "shared"
 
 
 def test_memo_keeps_one_shared_entry_per_argument(f0):

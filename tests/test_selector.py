@@ -156,7 +156,7 @@ def test_maxmin_takes_negated_index_from_the_complex():
     for seed in (4, 21, 58):
         c = random_admissible_complex(seed, max_points=30)
         got = (maxmin_int(c), maxmin_field(c, F3), maxmin_field(c, RATIONALS))
-        assert HOMOLOGY_DATA in c._cache and HOMOLOGY_DATA not in negate(c)._cache
+        assert HOMOLOGY_DATA in c._frame and HOMOLOGY_DATA not in negate(c)._frame
         fresh = random_admissible_complex(seed, max_points=30)
         n = negate(fresh)
         via_negated = [minmax_int(n), minmax_field(n, F3), minmax_field(n, RATIONALS)]
