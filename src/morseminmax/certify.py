@@ -1,20 +1,45 @@
-"""The exact check of a canonical form: D_k P_k = P_{k-1} B_k.
+"""Exact checks that read no critical value: a complex's structure and a
+canonical form D_k P_k = P_{k-1} B_k.
 
-``barannikov`` checks every form it builds with :func:`_verify_normal_form`:
-the integer form, the derived F_p forms of a certified complex and the field
-forms of an obstructed one. The check reads only the form's ring, basis and
-normal form and the complex's boundary columns.
+``complexes._violations`` learns from :func:`_structural_defects` which
+structural checks fail, and words their messages itself. ``barannikov``
+checks every form it builds with :func:`_verify_normal_form`: the integer
+form, the derived F_p forms of a certified complex and the field forms of an
+obstructed one. The check reads only the form's ring, basis and normal form
+and the complex's boundary columns.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .complexes import FilteredComplex
+from .coeff import sparse_product_columns
+from .complexes import FilteredComplex, memoized
 from .errors import InternalInconsistencyError
 
 if TYPE_CHECKING:
     from .barannikov import CanonicalForm
+
+
+@memoized(value_free=True)
+def _structural_defects(c: FilteredComplex) -> tuple[bool, bool, bool, tuple[int, ...]]:
+    """Which structural checks fail, from degrees, ranks and columns alone:
+    (a degree outside 0..ambient, two points of one value, a boundary term
+    that does not point down in value, the degrees k + 1 from which d∘d is
+    nonzero). Memoized in the shared store; one pass over the points and,
+    for d∘d, the sparse products."""
+    degrees = c.degrees()
+    ranks = [c.ranks(k) for k in degrees]
+    bad_degree = not all(0 <= k <= c.ambient_dim for k in degrees)
+    tied = len(set().union(*ranks)) < sum(map(len, ranks))
+    # rows ascend along a column and ranks never fall along a degree, so the
+    # last row of a column has the highest rank of its targets
+    ascent = any(rank <= lower[col[-1][0]]
+                 for k in degrees for lower in (c.ranks(k - 1),)
+                 for rank, col in zip(c.ranks(k), c.columns(k)) if col)
+    dd = tuple(k + 1 for k in degrees if c.ranks(k - 1) and c.ranks(k + 1)
+               and any(sparse_product_columns(c.columns(k), c.columns(k + 1))))
+    return bad_degree, tied, ascent, dd
 
 
 def _verify_normal_form(c: FilteredComplex, form: CanonicalForm) -> None:

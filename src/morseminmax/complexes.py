@@ -74,7 +74,7 @@ def memoized(fn=None, *, value_free=False):
     return wrapper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalPoint:
     name: str
     degree: int
@@ -185,20 +185,20 @@ class FilteredComplex:
         # are compared only when their floors are equal. A rank counts the
         # points of lower value.
         keyed.sort()
-        by_degree = defaultdict(list)  # degree -> (rank, point) in value order
+        ranks, points = defaultdict(list), defaultdict(list)  # per degree, in value order
         floor = value = None
         for i, (f, v, name, degree) in enumerate(keyed):
             if f != floor or v != value:
                 rank, floor, value = i, f, v
-            by_degree[degree].append((rank, CriticalPoint(name, degree, v)))
-        ranks, points_by_degree = {}, {}
-        for k, v in by_degree.items():
-            ranks[k], points_by_degree[k] = zip(*v)
-        c = cls(ambient_dim, points_by_degree, {}, ranks)
-        row, empty = c._position.__getitem__, {}  # a target's row is its position in its degree
+            ranks[degree].append(rank)
+            points[degree].append(CriticalPoint(name, degree, v))
+        points_by_degree = {k: tuple(v) for k, v in points.items()}
+        c = cls(ambient_dim, points_by_degree, {}, {k: tuple(v) for k, v in ranks.items()})
+        # a target's row is its position in its degree
+        row, chain = c._position.__getitem__, chains.get
         for k, v in points_by_degree.items():
-            c._columns[k] = tuple(tuple(sorted(zip(map(row, chain), chain.values())))
-                                  for chain in (chains.get(p.name, empty) for p in v))
+            c._columns[k] = tuple(tuple(sorted(zip(map(row, ch), ch.values())))
+                                  if (ch := chain(p.name)) else () for p in v)
         return c
 
     # -- accessors ----------------------------------------------------------
@@ -360,31 +360,37 @@ def _admissibility(c: FilteredComplex):
 
 @memoized
 def _violations(c: FilteredComplex) -> tuple[Violation, ...]:
-    """Structural findings (degree, distinct values, ascent, d∘d), memoized."""
+    """Structural findings (degree, distinct values, ascent, d∘d), memoized.
+
+    The value-free ``certify._structural_defects`` finds which kinds occur;
+    the messages, which name values, are made here for those kinds only.
+    """
+    # certify imports this module, so the check is imported here
+    from .certify import _structural_defects
+    bad_degree, tied, ascent, dd = _structural_defects(c)
     violations: list[Violation] = []
-    ranks, order = c._value_order()
-    for p in order:
-        if not 0 <= p.degree <= c.ambient_dim:
-            violations.append(Violation(
-                "bad_degree", f"{p.name} has degree {p.degree}, ambient {c.ambient_dim}"))
-    for ra, rb, a, b in zip(ranks, ranks[1:], order, order[1:]):
-        if ra == rb:
-            violations.append(Violation(
-                "duplicate_value", f"{a.name} and {b.name} share value {a.value}"))
-    for k in c.degrees():
-        lower, lower_ranks = c.points(k - 1), c.ranks(k - 1)
-        for p, rank, terms in zip(c.points(k), c.ranks(k), c.columns(k)):
-            for row, _ in terms:
-                if rank <= lower_ranks[row]:
-                    violations.append(Violation(
-                        "ascent_violation",
-                        f"boundary of {p.name} (value {p.value}) hits "
-                        f"{lower[row].name} (value {lower[row].value})"))
-    for k in c.degrees():
-        if c.points(k - 1) and c.points(k + 1):
-            if any(sparse_product_columns(c.columns(k), c.columns(k + 1))):
+    if bad_degree or tied:
+        ranks, order = c._value_order()
+        for p in order:
+            if not 0 <= p.degree <= c.ambient_dim:
                 violations.append(Violation(
-                    "dd_nonzero", f"boundary squared is nonzero from degree {k + 1}"))
+                    "bad_degree", f"{p.name} has degree {p.degree}, ambient {c.ambient_dim}"))
+        for ra, rb, a, b in zip(ranks, ranks[1:], order, order[1:]):
+            if ra == rb:
+                violations.append(Violation(
+                    "duplicate_value", f"{a.name} and {b.name} share value {a.value}"))
+    if ascent:
+        for k in c.degrees():
+            lower, lower_ranks = c.points(k - 1), c.ranks(k - 1)
+            for p, rank, terms in zip(c.points(k), c.ranks(k), c.columns(k)):
+                for row, _ in terms:
+                    if rank <= lower_ranks[row]:
+                        violations.append(Violation(
+                            "ascent_violation",
+                            f"boundary of {p.name} (value {p.value}) hits "
+                            f"{lower[row].name} (value {lower[row].value})"))
+    violations += [Violation("dd_nonzero", f"boundary squared is nonzero from degree {k}")
+                   for k in dd]
     return tuple(violations)
 
 
@@ -433,37 +439,33 @@ def negate(c: FilteredComplex) -> FilteredComplex:
     share a store share theirs, while ``negate(negate(c))`` has a fresh one.
     """
     n = c.ambient_dim
-    points = {n - k: tuple(CriticalPoint(pts[i].name, n - k, -pts[i].value)
-                           for i in _descending(c.ranks(k)))
-              for k in c.degrees() for pts in (c.points(k),)}
-    return FilteredComplex(n, points, *_negated_frame(c))
-
-
-def _descending(ranks) -> list[int]:
-    """Positions by descending rank; reverse=True keeps the sort stable, so
-    tied values stay in name order."""
-    return sorted(range(len(ranks)), key=ranks.__getitem__, reverse=True)
+    order, *frame = _negated_frame(c)
+    points = {n - k: tuple(CriticalPoint(pts[i].name, n - k, -pts[i].value) for i in pos)
+              for k, pos in order.items() for pts in (c.points(k),)}
+    return FilteredComplex(n, points, *frame)
 
 
 @memoized(value_free=True)
 def _negated_frame(c: FilteredComplex):
-    """The columns, ranks and shared store of :func:`negate`'s result: the
-    anti-transposed columns and the ranks ``n_points - 1 - r`` in the
-    order of :func:`_descending`, and a fresh store."""
+    """The point order, columns, ranks and shared store of :func:`negate`'s
+    result: per degree, c's positions by descending rank, ties in name
+    order; the anti-transposed columns and the ranks ``n_points - 1 - r`` in
+    that order; and a fresh store."""
     n, top = c.ambient_dim, c.n_points - 1
-    ranks, position, columns = {}, {}, {}
-    for k in c.degrees():
-        rk = c.ranks(k)
-        order = _descending(rk)
-        ranks[n - k] = tuple(top - rk[i] for i in order)
-        position[k] = dict(zip(order, range(len(rk))))
-        columns[n - k] = [[] for _ in rk]
-    for k in c.degrees():
-        for j, col in enumerate(c.columns(k)):
-            for m, v in col:  # entry (m, j) of D_k: old lower point m hits old point j
-                columns[n - k + 1][position[k - 1][m]].append((position[k][j], v))
-    return {k: tuple(tuple(sorted(col)) for col in cols)
-            for k, cols in columns.items()}, ranks, {}
+    # reverse=True keeps the sort stable, so tied values stay in name order
+    order = {k: tuple(sorted(range(len(rk)), key=rk.__getitem__, reverse=True))
+             for k in c.degrees() for rk in (c.ranks(k),)}
+    ranks, columns = {}, {}
+    for k, pos in order.items():
+        rk, D, cols = c.ranks(k), c.columns(k + 1), [[] for _ in pos]
+        ranks[n - k] = tuple(top - rk[i] for i in pos)
+        # row m of D_{k+1} is column m of the anti-transpose, filled in the
+        # order of degree k + 1, so its rows ascend
+        for t, j in enumerate(order.get(k + 1, ())):
+            for m, v in D[j]:
+                cols[m].append((t, v))
+        columns[n - k] = tuple(tuple(cols[m]) for m in pos)
+    return order, columns, ranks, {}
 
 
 def restrict(c: FilteredComplex, lo, hi) -> FilteredComplex:

@@ -346,6 +346,28 @@ def test_fuzz_reports_an_internal_inconsistency_with_its_seed(monkeypatch, capsy
     assert "failures=1" in out
 
 
+def test_fuzz_sees_a_perturbed_copy_served_the_original_selection(monkeypatch, capsys):
+    """The integer witness with its value kept in the shared store: the
+    perturbed copy, which shares the store, selects the original's value, at
+    distance 0 from it, so only the own-point check can see it."""
+    real = selector._minmax_int_at
+
+    def planted(c, lam):
+        key = ("planted witness", lam)
+        if key not in c._frame:
+            c._frame[key] = real(c, lam)
+        return c._frame[key]
+
+    monkeypatch.setattr(selector, "_minmax_int_at", planted)
+    code, out, _ = run(capsys, "fuzz", "--trials", "4", "--seed", "0", "--max-points", "20")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 2 and fails
+    assert all("of the perturbed copy is not its own point" in line for line in fails)
+    assert any("integer minmax of the perturbed copy" in line for line in fails)
+    assert any("integer maxmin of the perturbed copy" in line for line in fails)
+    assert f"failures={len(fails)}" in out
+
+
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morseminmax import coeff, complexes
+from morseminmax import certify, coeff, complexes
 from morseminmax.barannikov import (
     Certified,
     Obstructed,
@@ -15,6 +17,7 @@ from morseminmax.barannikov import (
 )
 from morseminmax.coeff import INTEGERS, RATIONALS, Coefficients, sparse_columns
 from morseminmax.complexes import (
+    CriticalPoint,
     FilteredComplex,
     _homology_data,
     change_basis,
@@ -64,6 +67,19 @@ def test_parse_laudenbach_fixture(laudenbach):
     assert c == laudenbach
     assert c.n_points == 5
     assert len(c.points(2)) == 3
+
+
+def test_a_critical_point_is_a_frozen_slotted_value():
+    p = CriticalPoint("a", 1, Fraction(1, 2))
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.value = Fraction(1)
+    same = CriticalPoint("a", 1, Fraction(2, 4))
+    assert p == same and hash(p) == hash(same) and len({p, same}) == 1
+    assert p != CriticalPoint("a", 1, Fraction(1, 3)) and p != CriticalPoint("b", 1, p.value)
+    assert pickle.loads(pickle.dumps(p)) == p
+    moved = dataclasses.replace(p, value=Fraction(3))
+    assert (moved.name, moved.degree, moved.value, p.value) == ("a", 1, 3, Fraction(1, 2))
 
 
 def test_serialize_round_trip_idempotent(laudenbach):
@@ -304,13 +320,13 @@ def test_global_index_refuses_invalid_complexes(code, route):
 
 def test_structural_findings_are_computed_once(monkeypatch, laudenbach):
     calls = Counter()
-    real = complexes.sparse_product_columns
+    real = certify.sparse_product_columns
 
     def counting(*args, **kwargs):
         calls["sparse_product_columns"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(complexes, "sparse_product_columns", counting)
+    monkeypatch.setattr(certify, "sparse_product_columns", counting)
     assert validate(laudenbach).admissible
     seen = calls["sparse_product_columns"]
     assert seen

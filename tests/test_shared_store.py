@@ -40,6 +40,7 @@ VALUE_FREE = {f"{fn.__module__}.{fn.__qualname__}": fn for fn in (
     complexes._homology_data,
     complexes._admissibility,
     complexes._negated_frame,
+    certify._structural_defects,
     barannikov._integer_reduction,
     barannikov._integer_outcome,
     selector._minmax_int_index,
@@ -74,8 +75,9 @@ def points_in(entry):
 
 
 def without_store(name, entry):
-    """An entry with the shared store of a negation dropped: a store is not a result."""
-    return entry[:2] if name.endswith("._negated_frame") else entry
+    """An entry with the shared store of a negation, its last item, dropped:
+    a store is not a result."""
+    return entry[:-1] if name.endswith("._negated_frame") else entry
 
 
 @settings(max_examples=60)

@@ -16,9 +16,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from morseminmax import certify
 from morseminmax.barannikov import reduce, reduce_integer
 from morseminmax.coeff import Coefficients
 from morseminmax.complexes import (
+    CriticalPoint,
     FilteredComplex,
     Violation,
     change_basis,
@@ -247,3 +249,60 @@ def test_ranks_order_and_tie_as_the_values_do(case, seed):
         assert_ranks_follow_values(d)
         assert [(p.name, p.value) for p in d.all_points()] == sorted(
             ((p.name, p.value) for p in d.all_points()), key=lambda nv: (nv[1], nv[0]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_perturbed_invalid_complex_words_its_own_violations(seed, monkeypatch):
+    """The structural defects are found once, in the store the perturbed copy
+    shares, while each complex's messages name its own values."""
+    points = [("a", 0, Fraction(0)), ("b", 1, Fraction(1)), ("t", 2, Fraction(2)),
+              ("y", 2, Fraction(5, 2)), ("x", 1, Fraction(3))]
+    # only the last target of t, x, lies above it, and d∘d is nonzero on t and y
+    boundaries = {"b": {"a": 1}, "x": {"a": -1}, "t": {"b": 1, "x": 2}, "y": {"b": 1}}
+    c = FilteredComplex.build(AMBIENT, points, boundaries)
+    found = validate(c).violations
+    assert found == reference_violations(points, boundaries)
+    assert {v.code for v in found} == {"ascent_violation", "dd_nonzero"}
+    moved = perturb_values(c, min_value_gap(c) / 4, seed)
+    assert moved._frame is c._frame
+    monkeypatch.setattr(certify, "sparse_product_columns", None)  # d∘d is not taken again
+    own = [(p.name, p.degree, p.value) for p in moved.all_points()]
+    assert validate(moved).violations == reference_violations(own, boundaries)
+    ascent = [v for v in validate(moved).violations if v.code == "ascent_violation"]
+    assert ascent != [v for v in found if v.code == "ascent_violation"]
+
+
+def reference_negation(c):
+    """``negate(c)`` built with position dicts and a sort per column: the
+    stable descending sort of each degree by rank, each old position's new
+    one from a dict, and the anti-transposed entries sorted into each column."""
+    n, top = c.ambient_dim, c.n_points - 1
+    order = {k: sorted(range(len(c.ranks(k))), key=c.ranks(k).__getitem__, reverse=True)
+             for k in c.degrees()}
+    points = {n - k: tuple(CriticalPoint(c.points(k)[i].name, n - k, -c.points(k)[i].value)
+                           for i in o) for k, o in order.items()}
+    position = {k: {old: new for new, old in enumerate(o)} for k, o in order.items()}
+    ranks = {n - k: tuple(top - c.ranks(k)[i] for i in o) for k, o in order.items()}
+    columns = {n - k: [[] for _ in o] for k, o in order.items()}
+    for k in c.degrees():
+        for j, col in enumerate(c.columns(k)):
+            for m, v in col:  # entry (m, j) of D_k
+                columns[n - k + 1][position[k - 1][m]].append((position[k][j], v))
+    columns = {k: tuple(tuple(sorted(col)) for col in cols) for k, cols in columns.items()}
+    return FilteredComplex(n, points, columns, ranks)
+
+
+@given(written_complexes())
+def test_negation_is_the_sorted_anti_transpose_and_an_involution(case):
+    _, points, boundaries = case
+    c = FilteredComplex.build(AMBIENT, points, boundaries)
+    neg, want = negate(c), reference_negation(c)
+    assert neg == want
+    for k in want.degrees():
+        assert neg.points(k) == want.points(k)
+        assert neg.ranks(k) == want.ranks(k)
+        assert neg.columns(k) == want.columns(k)
+    assert neg.degrees() == want.degrees()
+    back = negate(neg)
+    assert back == c
+    assert [back.ranks(k) for k in back.degrees()] == [c.ranks(k) for k in c.degrees()]
