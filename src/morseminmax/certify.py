@@ -1,12 +1,12 @@
 """Exact checks that read no critical value: a complex's structure and a
 canonical form D_k P_k = P_{k-1} B_k.
 
-``complexes._violations`` learns from :func:`_structural_defects` which
-structural checks fail, and words their messages itself. ``barannikov``
-checks every form it builds with :func:`_verify_normal_form`: the integer
-form, the derived F_p forms of a certified complex and the field forms of an
-obstructed one. The check reads only the form's ring, basis and normal form
-and the complex's boundary columns.
+:func:`_structural_defects` locates a complex's structural defects, which
+``complexes._violations`` words. ``barannikov`` checks every form it builds
+with :func:`_verify_normal_form`: the integer form, the derived F_p forms of
+a certified complex and the field forms of an obstructed one. The check
+reads only the form's ring, basis and normal form and the complex's
+boundary columns.
 """
 
 from __future__ import annotations
@@ -22,24 +22,29 @@ if TYPE_CHECKING:
 
 
 @memoized(value_free=True)
-def _structural_defects(c: FilteredComplex) -> tuple[bool, bool, bool, tuple[int, ...]]:
-    """Which structural checks fail, from degrees, ranks and columns alone:
-    (a degree outside 0..ambient, two points of one value, a boundary term
-    that does not point down in value, the degrees k + 1 from which d∘d is
-    nonzero). Memoized in the shared store; one pass over the points and,
-    for d∘d, the sparse products."""
+def _structural_defects(c: FilteredComplex):
+    """Every structural defect, located from names, degrees, ranks and
+    columns alone: the names of the points of a degree outside 0..ambient
+    and the name pairs of one value, both in value order; ``(degree, column,
+    row)`` of each term that does not point down in value; the degrees k + 1
+    from which d∘d is nonzero. Memoized in the shared store."""
     degrees = c.degrees()
-    ranks = [c.ranks(k) for k in degrees]
-    bad_degree = not all(0 <= k <= c.ambient_dim for k in degrees)
-    tied = len(set().union(*ranks)) < sum(map(len, ranks))
-    # rows ascend along a column and ranks never fall along a degree, so the
-    # last row of a column has the highest rank of its targets
-    ascent = any(rank <= lower[col[-1][0]]
-                 for k in degrees for lower in (c.ranks(k - 1),)
-                 for rank, col in zip(c.ranks(k), c.columns(k)) if col)
+    out = [k for k in degrees if not 0 <= k <= c.ambient_dim]
+    order = ()  # the points by (rank, name), sorted only when a degree or a rank fails
+    if out or len(set().union(*map(c.ranks, degrees))) < c.n_points:
+        order = sorted((r, p.name, k) for k in degrees
+                       for r, p in zip(c.ranks(k), c.points(k)))
+    bad = tuple(name for _, name, k in order if k in out)
+    ties = tuple((a, b) for (ra, a, _), (rb, b, _) in zip(order, order[1:]) if ra == rb)
+    # rows ascend along a column and ranks never fall along a degree, so a
+    # column's terms can fail only when its last row, its highest-ranked target, does
+    ascents = tuple((k, j, row) for k in degrees for lower in (c.ranks(k - 1),)
+                    for j, (rank, col) in enumerate(zip(c.ranks(k), c.columns(k)))
+                    if col and rank <= lower[col[-1][0]]
+                    for row, _ in col if rank <= lower[row])
     dd = tuple(k + 1 for k in degrees if c.ranks(k - 1) and c.ranks(k + 1)
                and any(sparse_product_columns(c.columns(k), c.columns(k + 1))))
-    return bad_degree, tied, ascent, dd
+    return bad, ties, ascents, dd
 
 
 def _verify_normal_form(c: FilteredComplex, form: CanonicalForm) -> None:

@@ -124,22 +124,20 @@ def sparse_columns(A: Sequence[Sequence], ncols: int = 0) -> list[list[tuple[int
     return [[(i, v) for i, v in enumerate(col) if v] for col in zip(*A)]
 
 
-def sparse_product_columns(A_cols, B_cols, p: int | None = None):
+def sparse_product_columns(A_cols, B_cols):
     """Yield each column of A @ B as a sparse ``{row: value}`` dict.
 
-    A and B are given as sparse columns of ``(row, value)`` entries. Values
-    are reduced mod p when p is given, and zero values are dropped, so a
-    zero column is ``{}``. Column j costs one scaled copy of a column of A
-    per nonzero of column j of B, so the whole product costs what its
-    nonzero terms cost.
+    A and B are given as sparse columns of ``(row, value)`` entries. Zero
+    values are dropped, so a zero column is ``{}``. Column j costs one scaled
+    copy of a column of A per nonzero of column j of B, so the whole product
+    costs what its nonzero terms cost.
     """
     for terms in B_cols:
         out: dict[int, object] = {}
         for t, b in terms:
             for i, a in A_cols[t]:
                 out[i] = out.get(i, 0) + a * b
-        yield ({i: r for i, v in out.items() if (r := v % p)} if p is not None
-               else {i: v for i, v in out.items() if v})
+        yield {i: v for i, v in out.items() if v}
 
 
 def sparse_subtract(col: dict, q, other, p: int | None = None) -> None:

@@ -74,6 +74,15 @@ def memoized(fn=None, *, value_free=False):
     return wrapper
 
 
+def _integer(x) -> int | None:
+    """``x`` as an int when it is an integral number, else None."""
+    try:
+        f = x if type(x) is int else Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        return None
+    return int(f) if f.denominator == 1 else None
+
+
 @dataclass(frozen=True, slots=True)
 class CriticalPoint:
     name: str
@@ -114,8 +123,7 @@ class FilteredComplex:
     the columns, built on first use.
     """
 
-    __slots__ = ("ambient_dim", "_points", "_columns", "_ranks", "_by_name", "_position",
-                 "_cache", "_frame")
+    __slots__ = ("ambient_dim", "_points", "_columns", "_ranks", "_by_name", "_cache", "_frame")
 
     def __init__(self, ambient_dim, points_by_degree, columns, ranks, frame=None):
         """``points_by_degree`` maps each degree that has points to its
@@ -127,8 +135,6 @@ class FilteredComplex:
         self._columns = columns
         self._ranks = ranks
         self._by_name = {p.name: p for pts in points_by_degree.values() for p in pts}
-        self._position = {p.name: i for pts in points_by_degree.values()
-                          for i, p in enumerate(pts)}
         self._cache = {}
         self._frame = {} if frame is None else frame
 
@@ -142,18 +148,22 @@ class FilteredComplex:
 
         ``points`` yields ``(name, degree, value)`` triples; ``boundaries``
         maps a point name to its boundary chain as ``{target_name:
-        coefficient}``. Structural errors (bad names, duplicate names,
+        coefficient}``. An integral ambient dimension or degree is stored as
+        an int. Structural errors (any other one, bad names, duplicate names,
         degree-incompatible boundary targets) raise ValueError; the semantic
         invariants are checked by :func:`validate`.
         """
-        if int(ambient_dim) < 1:
+        ambient_dim = _integer(ambient_dim)
+        if ambient_dim is None or ambient_dim < 1:
             raise ValueError("ambient dimension must be a positive integer")
         keyed = []  # (floor of value, value, name, degree) per point
         for name, degree, value in points:
             if not NAME_RE.match(name):
                 raise ValueError(f"bad point name {name!r}")
+            if (degree := _integer(degree)) is None:
+                raise ValueError(f"degree of point {name!r} is not an integer")
             value = value if type(value) is Fraction else Fraction(value)
-            keyed.append((value.numerator // value.denominator, value, name, int(degree)))
+            keyed.append((value.numerator // value.denominator, value, name, degree))
         by_name = {key[2]: key for key in keyed}  # the last point of each name
         if len(by_name) != len(keyed):
             dup = next(key[2] for key in keyed if by_name[key[2]] is not key)
@@ -192,14 +202,13 @@ class FilteredComplex:
                 rank, floor, value = i, f, v
             ranks[degree].append(rank)
             points[degree].append(CriticalPoint(name, degree, v))
-        points_by_degree = {k: tuple(v) for k, v in points.items()}
-        c = cls(ambient_dim, points_by_degree, {}, {k: tuple(v) for k, v in ranks.items()})
         # a target's row is its position in its degree
-        row, chain = c._position.__getitem__, chains.get
-        for k, v in points_by_degree.items():
-            c._columns[k] = tuple(tuple(sorted(zip(map(row, ch), ch.values())))
-                                  if (ch := chain(p.name)) else () for p in v)
-        return c
+        row = {p.name: i for v in points.values() for i, p in enumerate(v)}.__getitem__
+        columns = {k: tuple(tuple(sorted(zip(map(row, ch), ch.values())))
+                            if (ch := chains.get(p.name)) else () for p in v)
+                   for k, v in points.items()}
+        return cls(ambient_dim, {k: tuple(v) for k, v in points.items()}, columns,
+                   {k: tuple(v) for k, v in ranks.items()})
 
     # -- accessors ----------------------------------------------------------
 
@@ -240,14 +249,13 @@ class FilteredComplex:
 
         The order is computed once per complex; each call returns a new list.
         """
-        return list(self._value_order()[1])
+        return list(self._value_order())
 
     @memoized
-    def _value_order(self) -> tuple[tuple[int, ...], tuple[CriticalPoint, ...]]:
-        """Ranks and points of all points by (rank, name): int and str comparisons."""
-        order = sorted((r, p.name, p) for k, pts in self._points.items()
-                       for r, p in zip(self._ranks[k], pts))
-        return tuple(r for r, _, _ in order), tuple(p for *_, p in order)
+    def _value_order(self) -> tuple[CriticalPoint, ...]:
+        """All points by (rank, name): int and str comparisons."""
+        return tuple(p for *_, p in sorted((r, p.name, p) for k, pts in self._points.items()
+                                           for r, p in zip(self._ranks[k], pts)))
 
     def _revalued(self, points_by_degree) -> "FilteredComplex":
         """This complex with new points, of the same names in the same order,
@@ -261,9 +269,9 @@ class FilteredComplex:
         return len(self._by_name)
 
     def boundary_chain(self, name: str) -> list[tuple[int, CriticalPoint]]:
-        k = self.point(name).degree
-        lower = self.points(k - 1)
-        return [(v, lower[row]) for row, v in self._columns[k][self._position[name]]]
+        p = self.point(name)
+        lower, pts = self.points(p.degree - 1), self.points(p.degree)
+        return [(v, lower[row]) for row, v in self._columns[p.degree][pts.index(p)]]
 
     def __eq__(self, other):
         if not isinstance(other, FilteredComplex):
@@ -278,8 +286,7 @@ class FilteredComplex:
         return hash(serialize(self))
 
     def __repr__(self):
-        return (f"FilteredComplex(ambient={self.ambient_dim}, "
-                f"points={self.n_points})")
+        return f"FilteredComplex(ambient={self.ambient_dim}, points={self.n_points})"
 
 
 # ---------------------------------------------------------------------------
@@ -362,33 +369,20 @@ def _admissibility(c: FilteredComplex):
 def _violations(c: FilteredComplex) -> tuple[Violation, ...]:
     """Structural findings (degree, distinct values, ascent, d∘d), memoized.
 
-    The value-free ``certify._structural_defects`` finds which kinds occur;
-    the messages, which name values, are made here for those kinds only.
+    The value-free ``certify._structural_defects`` locates every defect;
+    this only words them, naming c's own points and values.
     """
     # certify imports this module, so the check is imported here
     from .certify import _structural_defects
-    bad_degree, tied, ascent, dd = _structural_defects(c)
-    violations: list[Violation] = []
-    if bad_degree or tied:
-        ranks, order = c._value_order()
-        for p in order:
-            if not 0 <= p.degree <= c.ambient_dim:
-                violations.append(Violation(
-                    "bad_degree", f"{p.name} has degree {p.degree}, ambient {c.ambient_dim}"))
-        for ra, rb, a, b in zip(ranks, ranks[1:], order, order[1:]):
-            if ra == rb:
-                violations.append(Violation(
-                    "duplicate_value", f"{a.name} and {b.name} share value {a.value}"))
-    if ascent:
-        for k in c.degrees():
-            lower, lower_ranks = c.points(k - 1), c.ranks(k - 1)
-            for p, rank, terms in zip(c.points(k), c.ranks(k), c.columns(k)):
-                for row, _ in terms:
-                    if rank <= lower_ranks[row]:
-                        violations.append(Violation(
-                            "ascent_violation",
-                            f"boundary of {p.name} (value {p.value}) hits "
-                            f"{lower[row].name} (value {lower[row].value})"))
+    bad, ties, ascents, dd = _structural_defects(c)
+    point = c.point
+    violations = [Violation("bad_degree", f"{name} has degree {point(name).degree}, "
+                                          f"ambient {c.ambient_dim}") for name in bad]
+    violations += [Violation("duplicate_value", f"{a} and {b} share value {point(a).value}")
+                   for a, b in ties]
+    violations += [Violation("ascent_violation", f"boundary of {p.name} (value {p.value}) hits "
+                                                 f"{q.name} (value {q.value})")
+                   for k, j, row in ascents for p, q in ((c.points(k)[j], c.points(k - 1)[row]),)]
     violations += [Violation("dd_nonzero", f"boundary squared is nonzero from degree {k}")
                    for k in dd]
     return tuple(violations)
@@ -510,11 +504,10 @@ def change_basis(c: FilteredComplex, transforms: Mapping[int, Iterable[Iterable[
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 if type(v) is not int:
-                    f = Fraction(v)
-                    if f.denominator != 1:
+                    row[j] = _integer(v)
+                    if row[j] is None:
                         raise NonUnitDiagonalError(
                             f"degree {k} transform has non-integer entry {v} at ({i},{j})")
-                    row[j] = int(f)
                 if row[j] != 0 and i > j:
                     raise NonTriangularError(
                         f"degree {k} transform mixes higher-value point into column {j}")

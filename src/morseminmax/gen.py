@@ -192,11 +192,13 @@ def random_complex(seed: int, sizes: dict[int, int], ambient: int) -> FilteredCo
 
 
 def random_admissible_complex(seed: int, max_points: int = 40) -> FilteredComplex:
-    """Seeded random complex with rank-one torsion-free total homology."""
+    """Seeded random complex with rank-one torsion-free total homology and
+    at most ``max_points`` points, which must be at least 3."""
+    if max_points < 3:
+        raise ValueError(f"max_points must be at least 3, not {max_points}")
     rng = random.Random(("admissible", seed).__repr__())
     ambient = rng.randint(2, 6)
-    max_pairs = max(1, (max_points - 1) // 2)
-    n_pairs = rng.randint(1, max_pairs)
+    n_pairs = rng.randint(1, (max_points - 1) // 2)
     slots = list(range(1, ambient + 1))
     pair_at = {k: 0 for k in slots}
     for _ in range(n_pairs):

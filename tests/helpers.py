@@ -146,3 +146,48 @@ def assert_ranks_follow_values(c):
                    key=lambda vr: vr[0])
     for (v, r), (w, s) in zip(pairs, pairs[1:]):
         assert r == s if v == w else r < s, (v, r, w, s)
+
+
+# -- complexes as written, mostly invalid -------------------------------------
+
+AMBIENT = 3
+VALUES = [Fraction(v) for v in (-3, -1, 0, 1, 2)] + [
+    Fraction(1, 2), Fraction(-5, 3), Fraction(2**64 + 1), Fraction(2**64 + 2),
+    Fraction(-(2**70) - 3, 7), Fraction(2**65 + 1, 2**64)]
+
+
+@st.composite
+def written_complexes(draw):
+    """(file text, points, boundaries): up to 9 points of degrees -1..4 in
+    ambient dimension 3, each value written as ``n``, ``n/d`` or a multiple
+    of both (``2/4`` for ``1/2``), and chains of coefficients +-1, +-2."""
+    names = draw(st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=9, unique=True))
+    points, lines = [], [f"ambient {AMBIENT}"]
+    for name in names:
+        degree, value = draw(st.integers(-1, AMBIENT + 1)), draw(st.sampled_from(VALUES))
+        scale = draw(st.integers(1, 3))
+        text = (f"{value.numerator * scale}/{value.denominator * scale}"
+                if scale > 1 or value.denominator > 1 else str(value.numerator))
+        points.append((name, degree, value))
+        lines.append(f"point {name} {degree} {text}")
+    boundaries = {}
+    for name, degree, _ in points:
+        targets = [t for t, d, _ in points if d == degree - 1]
+        if targets:
+            chain = draw(st.dictionaries(st.sampled_from(targets),
+                                         st.sampled_from((-2, -1, 1, 2)), max_size=3))
+            if chain:
+                boundaries[name] = chain
+                lines.append(f"boundary {name} : "
+                             + " ".join(f"{v}*{t}" for t, v in chain.items()))
+    return "\n".join(lines) + "\n", points, boundaries
+
+
+# A complex with one ascent violation (only t's last target, x, lies above
+# it) and a nonzero d∘d from degree 2 (on t and y): (points, boundaries) in
+# AMBIENT.
+INVALID_FIVE_POINTS = (
+    [("a", 0, Fraction(0)), ("b", 1, Fraction(1)), ("t", 2, Fraction(2)),
+     ("y", 2, Fraction(5, 2)), ("x", 1, Fraction(3))],
+    {"b": {"a": 1}, "x": {"a": -1}, "t": {"b": 1, "x": 2}, "y": {"b": 1}},
+)

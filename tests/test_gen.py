@@ -175,6 +175,14 @@ def test_random_admissible_complex_bounds():
         assert c.n_points <= 40
         assert validate(c).admissible
         global_index(c)
+    # the least bound, a free point and one cancelling pair
+    assert all(random_admissible_complex(seed, max_points=3).n_points == 3 for seed in range(20))
+
+
+@pytest.mark.parametrize("max_points", [2, 1, 0, -5])
+def test_random_admissible_complex_refuses_a_bound_below_three_points(max_points):
+    with pytest.raises(ValueError, match="max_points must be at least 3"):
+        random_admissible_complex(0, max_points=max_points)
 
 
 def test_perturb_values_stability():

@@ -9,8 +9,9 @@ import pytest
 from pytest import param as P
 
 from morseminmax import grammar
-from morseminmax.complexes import FilteredComplex, parse_complex
+from morseminmax.complexes import FilteredComplex, parse_complex, serialize, validate
 from morseminmax.errors import InternalInconsistencyError, ParseError
+from morseminmax.gen import single_point
 
 HEAD = "ambient 2\npoint a 0 0\npoint b 1 1\n"  # a boundary may name a, not b
 LONG = "9" * 5000
@@ -95,6 +96,12 @@ POINTS = [("a", 0, 0), ("b", 1, 1), ("c", 1, 2)]
 
 BUILD_ERRORS = [
     (0, POINTS, None, "ambient dimension must be a positive integer"),
+    # an ambient dimension or a degree that is not integral, where int() truncates
+    (2.5, POINTS, None, "ambient dimension must be a positive integer"),
+    ("2/3", POINTS, None, "ambient dimension must be a positive integer"),
+    (None, POINTS, None, "ambient dimension must be a positive integer"),
+    (1, [("a", 0, 0), ("b", 1.5, 1)], None, "degree of point 'b' is not an integer"),
+    (1, [("a", 0, 0), ("b", "one", 1)], None, "degree of point 'b' is not an integer"),
     (1, [("a", 0, 0), ("a b", 0, 1)], None, "bad point name 'a b'"),
     (1, [("a", 0, 0), ("", 0, 1)], None, "bad point name ''"),
     (1, [("a", 0, 0), ("b", 0, 1), ("a", 1, 2)], None, "duplicate point name 'a'"),
@@ -115,6 +122,30 @@ def test_build_error_wording(ambient, points, boundaries, message):
     with pytest.raises(ValueError) as exc:
         FilteredComplex.build(ambient, points, boundaries)
     assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("ambient", [True, "3", 3.0])
+def test_build_stores_an_integral_ambient_dimension_as_an_int(ambient):
+    c = FilteredComplex.build(ambient, [("a", 0, 0)])
+    assert type(c.ambient_dim) is int and c.ambient_dim == int(ambient)
+    assert validate(c).admissible
+    assert parse_complex(serialize(c)) == c
+
+
+def test_build_stores_an_integral_degree_as_an_int():
+    c = FilteredComplex.build(2, [("a", 0, 0), ("b", True, 1), ("c", "2", 2)])
+    assert [(p.name, type(p.degree), p.degree) for p in c.all_points()] == [
+        ("a", int, 0), ("b", int, 1), ("c", int, 2)]
+
+
+@pytest.mark.parametrize("degree, ambient, message", [
+    (1.5, 2, "degree of point 'xi' is not an integer"),
+    (0, 2.5, "ambient dimension must be a positive integer"),
+])
+def test_single_point_refuses_what_build_refuses(degree, ambient, message):
+    with pytest.raises(ValueError) as exc:
+        single_point(degree, 0, ambient)
+    assert str(exc.value) == message
 
 
 def test_build_drops_zero_coefficients_before_checking_degrees():

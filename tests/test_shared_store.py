@@ -10,6 +10,7 @@ compute on any complex that shares the store.
 import dataclasses
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from morseminmax import barannikov, certify, complexes, selector
@@ -24,6 +25,7 @@ from morseminmax.complexes import (
     parse_complex,
     restrict,
     serialize,
+    validate,
 )
 from morseminmax.gen import (
     FIXTURE_NAMES,
@@ -33,6 +35,8 @@ from morseminmax.gen import (
     random_admissible_complex,
 )
 from morseminmax.selector import maxmin_int, minmax_field, minmax_int, selector_report
+
+from helpers import AMBIENT, INVALID_FIVE_POINTS, written_complexes
 
 FIELDS = (Coefficients.prime_field(2), Coefficients.prime_field(3), RATIONALS)
 
@@ -80,13 +84,9 @@ def without_store(name, entry):
     return entry[:-1] if name.endswith("._negated_frame") else entry
 
 
-@settings(max_examples=60)
-@given(st.one_of(st.sampled_from(FIXTURE_NAMES).map(paper_fixture),
-                 st.integers(0, 10**6).map(lambda seed: random_admissible_complex(seed, 30))),
-       st.integers(0, 100))
-def test_every_shared_entry_is_what_a_sibling_computes_afresh(c, shift):
-    selector_report(c, (INTEGERS, *FIELDS))
-    moved = sibling(c, shift)
+def assert_shared_entries_recompute(c, moved):
+    """Every entry in the stores of c and its negation is value-free and is
+    what a fresh store computes on the sibling ``moved`` and its negation."""
     for x, other in ((c, moved), (negate(c), negate(moved))):
         assert other._frame is x._frame
         assert {key[0] for key in x._frame} <= VALUE_FREE.keys()
@@ -94,6 +94,41 @@ def test_every_shared_entry_is_what_a_sibling_computes_afresh(c, shift):
             assert next(points_in(entry), None) is None, name
             got = VALUE_FREE[name](fresh(other), *args)
             assert without_store(name, got) == without_store(name, entry), name
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.sampled_from(FIXTURE_NAMES).map(paper_fixture),
+                 st.integers(0, 10**6).map(lambda seed: random_admissible_complex(seed, 30))),
+       st.integers(0, 100))
+def test_every_shared_entry_is_what_a_sibling_computes_afresh(c, shift):
+    selector_report(c, (INTEGERS, *FIELDS))
+    assert_shared_entries_recompute(c, sibling(c, shift))
+
+
+def check_located_defects(points, boundaries, shift):
+    """Validate a complex and its negation, then compare their stores, the
+    located defects included, with a sibling's fresh ones. The sibling has
+    every value moved by ``shift``, which keeps ties, so that a complex with
+    tied values has one too."""
+    c = FilteredComplex.build(AMBIENT, points, boundaries)
+    for x in (c, negate(c)):
+        validate(x)
+    moved = c._revalued({k: tuple(CriticalPoint(p.name, k, p.value + shift)
+                                  for p in c.points(k)) for k in c.degrees()})
+    assert_shared_entries_recompute(c, moved)
+    return c
+
+
+@pytest.mark.parametrize("shift", [Fraction(1, 3), 1, -7])
+def test_located_defects_of_an_invalid_complex_are_what_a_sibling_computes(shift):
+    c = check_located_defects(*INVALID_FIVE_POINTS, shift)
+    assert any(certify._structural_defects(c))
+
+
+@settings(max_examples=100)
+@given(written_complexes(), st.fractions(min_value=-2, max_value=2).filter(bool))
+def test_located_defects_of_written_complexes_are_what_a_sibling_computes(case, shift):
+    check_located_defects(*case[1:], shift)
 
 
 def test_value_free_names_cover_the_shared_store():

@@ -39,7 +39,7 @@ from morseminmax.gen import (
     random_admissible_complex,
 )
 
-from helpers import assert_ranks_follow_values
+from helpers import AMBIENT, INVALID_FIVE_POINTS, assert_ranks_follow_values, written_complexes
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -145,39 +145,6 @@ def test_oracle_reads_no_rank():
 
 # -- ranks are exact ----------------------------------------------------------
 
-AMBIENT = 3
-VALUES = [Fraction(v) for v in (-3, -1, 0, 1, 2)] + [
-    Fraction(1, 2), Fraction(-5, 3), Fraction(2**64 + 1), Fraction(2**64 + 2),
-    Fraction(-(2**70) - 3, 7), Fraction(2**65 + 1, 2**64)]
-
-
-@st.composite
-def written_complexes(draw):
-    """(file text, points, boundaries): up to 9 points of degrees -1..4 in
-    ambient dimension 3, each value written as ``n``, ``n/d`` or a multiple
-    of both (``2/4`` for ``1/2``), and chains of coefficients +-1, +-2."""
-    names = draw(st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=9, unique=True))
-    points, lines = [], [f"ambient {AMBIENT}"]
-    for name in names:
-        degree, value = draw(st.integers(-1, AMBIENT + 1)), draw(st.sampled_from(VALUES))
-        scale = draw(st.integers(1, 3))
-        text = (f"{value.numerator * scale}/{value.denominator * scale}"
-                if scale > 1 or value.denominator > 1 else str(value.numerator))
-        points.append((name, degree, value))
-        lines.append(f"point {name} {degree} {text}")
-    boundaries = {}
-    for name, degree, _ in points:
-        targets = [t for t, d, _ in points if d == degree - 1]
-        if targets:
-            chain = draw(st.dictionaries(st.sampled_from(targets),
-                                         st.sampled_from((-2, -1, 1, 2)), max_size=3))
-            if chain:
-                boundaries[name] = chain
-                lines.append(f"boundary {name} : "
-                             + " ".join(f"{v}*{t}" for t, v in chain.items()))
-    return "\n".join(lines) + "\n", points, boundaries
-
-
 def reference_violations(points, boundaries):
     """``_violations``'s findings, computed from the input Fractions."""
     order = sorted(points, key=lambda t: (t[2], t[0]))
@@ -207,6 +174,13 @@ def reference_violations(points, boundaries):
                                        f"boundary squared is nonzero from degree {k + 1}"))
                 break
     return tuple(found)
+
+
+def stated(c):
+    """(points, boundaries) of c, name-keyed as :func:`reference_violations`
+    reads them."""
+    return ([(p.name, p.degree, p.value) for p in c.all_points()],
+            {p.name: {q.name: v for v, q in c.boundary_chain(p.name)} for p in c.all_points()})
 
 
 def _derived(c, rng):
@@ -246,6 +220,7 @@ def test_ranks_order_and_tie_as_the_values_do(case, seed):
     assert validate(c).violations == reference_violations(points, boundaries)
     assert_ranks_follow_values(c)
     for d in _derived(c, random.Random(seed)):
+        assert validate(d).violations == reference_violations(*stated(d))
         assert_ranks_follow_values(d)
         assert [(p.name, p.value) for p in d.all_points()] == sorted(
             ((p.name, p.value) for p in d.all_points()), key=lambda nv: (nv[1], nv[0]))
@@ -253,16 +228,15 @@ def test_ranks_order_and_tie_as_the_values_do(case, seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_a_perturbed_invalid_complex_words_its_own_violations(seed, monkeypatch):
-    """The structural defects are found once, in the store the perturbed copy
-    shares, while each complex's messages name its own values."""
-    points = [("a", 0, Fraction(0)), ("b", 1, Fraction(1)), ("t", 2, Fraction(2)),
-              ("y", 2, Fraction(5, 2)), ("x", 1, Fraction(3))]
-    # only the last target of t, x, lies above it, and d∘d is nonzero on t and y
-    boundaries = {"b": {"a": 1}, "x": {"a": -1}, "t": {"b": 1, "x": 2}, "y": {"b": 1}}
+    """The structural defects are located once, in the store the perturbed
+    copy shares, while each complex's messages name its own values."""
+    points, boundaries = INVALID_FIVE_POINTS
     c = FilteredComplex.build(AMBIENT, points, boundaries)
     found = validate(c).violations
     assert found == reference_violations(points, boundaries)
     assert {v.code for v in found} == {"ascent_violation", "dd_nonzero"}
+    # t's term on x (degree 2, column 0, row 1) points up; d∘d fails from degree 2
+    assert certify._structural_defects(c) == ((), (), ((2, 0, 1),), (2,))
     moved = perturb_values(c, min_value_gap(c) / 4, seed)
     assert moved._frame is c._frame
     monkeypatch.setattr(certify, "sparse_product_columns", None)  # d∘d is not taken again
