@@ -1,8 +1,10 @@
-"""Exact coefficient systems and integer normal-form linear algebra.
+"""Exact coefficient systems and the linear algebra the package shares.
 
 Everything here is exact: arbitrary-precision integers and residues
-``0..p-1`` over a prime field; ranks over Q come from fraction-free
-elimination on integers. No floating point is used anywhere in the package.
+``0..p-1`` over a prime field. Torsion is read only as the invariant
+factors of an integer matrix, from one Smith elimination that keeps no
+transforms; ranks over Q and F_p come from fraction-free elimination on
+integers. No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -52,10 +54,12 @@ class Coefficients:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.kind == "Fp":
-            if self.p is not None and self.p >= _MR_EXACT_BELOW:
+            if not isinstance(self.p, int) or isinstance(self.p, bool):
+                raise ValueError(f"prime field needs an int modulus, got {self.p!r}")
+            if self.p >= _MR_EXACT_BELOW:
                 raise ValueError(f"prime modulus must be below {_MR_EXACT_BELOW}, "
                                  f"got {self.p}")
-            if self.p is None or not is_prime(self.p):
+            if not is_prime(self.p):
                 raise ValueError(f"prime field needs a prime modulus, got {self.p!r}")
         elif self.p is not None:
             raise ValueError(f"coefficient system {self.kind} takes no modulus")
@@ -109,10 +113,6 @@ RATIONALS = Coefficients.rationals()
 
 # ---------------------------------------------------------------------------
 # basic matrix helpers (row-major lists of lists)
-
-def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
 
 def sparse_columns(A: Sequence[Sequence], ncols: int = 0) -> list[list[tuple[int, object]]]:
     """The nonzero ``(row, value)`` entries of each column of a row-major matrix.
@@ -174,56 +174,17 @@ def back_substitute(col: dict, basis) -> dict:
     return coeffs
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Unimodular factorization A = U @ S @ V with S diagonal, d1 | d2 | ...
-
-    U is square of size ``len(U)`` (rows of A), V square of size ``len(V)``
-    (columns of A); both have determinant +-1. Diagonal entries of S are
-    nonnegative and each divides the next.
-    """
-
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        m, n = len(self.U), len(self.V)
-        return tuple(self.S[i][i] for i in range(min(m, n)))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-
-def smith_normal_form(A: IntMatrix, *, ncols: int | None = None) -> SmithDecomposition:
-    """Smith normal form of an integer matrix, total on any shape.
-
-    ``ncols`` disambiguates matrices with zero rows. The pivot strategy
-    promotes a smallest-magnitude nonzero entry, which keeps intermediate
-    coefficient growth moderate; S itself is canonical whatever the strategy.
-    """
-    S, U, V, _ = _smith(A, ncols, True)
-    return SmithDecomposition(U=U, S=S, V=V)
-
-
 def invariant_factors(A: IntMatrix, *, ncols: int | None = None) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith form of A, by the elimination of
-    :func:`smith_normal_form` without its U and V."""
-    S, _, _, rank = _smith(A, ncols, False)
-    return tuple(S[i][i] for i in range(rank))
+    """The invariant factors of an integer matrix: the nonzero diagonal
+    entries of its Smith normal form, positive, each dividing the next.
+    ``ncols`` gives the column count of a matrix with no rows.
 
-
-def _smith(A: IntMatrix, ncols: int | None, uv: bool):
-    """Diagonalize an int copy S of A and return S, U, V and the number of
-    nonzero diagonal entries, which lead the diagonal, are positive and each
-    divide the next. U and V, kept only when ``uv`` is true and None
-    otherwise, are unimodular with U S V = A.
-
-    At step t the rows and columns before t are zero off the diagonal, so
-    every operation on S touches only the trailing block ``S[t:, t:]``; a
-    column operation comes only once column t is zero below the pivot, so it
+    An int copy S of A is diagonalized. Each step t moves a first nonzero
+    entry of least magnitude (rows first; the search stops at a unit) to
+    ``S[t][t]``, then clears row and column t by Euclid's steps. At step t
+    the rows and columns before t are zero off the diagonal, so every
+    operation touches only the trailing block ``S[t:, t:]``; a column
+    operation comes only once column t is zero below the pivot, so it
     touches only row t.
     """
     m = len(A)
@@ -232,28 +193,16 @@ def _smith(A: IntMatrix, ncols: int | None, uv: bool):
     for row in S:
         if len(row) != n:
             raise ValueError("ragged matrix")
-    U, V = (identity_matrix(m), identity_matrix(n)) if uv else (None, None)
     t = 0
 
     def row_add(i, j, q):  # row_i += q * row_j
         Si, Sj = S[i], S[j]
         Si[t:] = [a + q * b for a, b in zip(Si[t:], Sj[t:])]
-        if uv:
-            for r in U:
-                r[j] -= q * r[i]
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        if uv:
-            for r in U:
-                r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in range(t, m):
             Sr = S[r]
             Sr[i], Sr[j] = Sr[j], Sr[i]
-        if uv:
-            V[i], V[j] = V[j], V[i]
 
     while True:
         best = None  # the first entry of least magnitude, rows first
@@ -266,8 +215,9 @@ def _smith(A: IntMatrix, ncols: int | None, uv: bool):
             if best and best[0] == 1:  # no later entry is smaller
                 break
         if best is None:
-            return S, U, V, t
-        swap_rows(t, best[1])
+            # no later step reads a pivot, so its sign is dropped only here
+            return tuple(abs(S[i][i]) for i in range(t))
+        S[t], S[best[1]] = S[best[1]], S[t]
         swap_cols(t, best[2])
         while True:
             restart = False
@@ -276,8 +226,8 @@ def _smith(A: IntMatrix, ncols: int | None, uv: bool):
                     q = S[i][t] // S[t][t]
                     if q:
                         row_add(i, t, -q)
-                    if S[i][t]:
-                        swap_rows(i, t)  # remainder is strictly smaller
+                    if S[i][t]:  # remainder is strictly smaller
+                        S[i], S[t] = S[t], S[i]
                         restart = True
                         break
             if restart:
@@ -288,8 +238,6 @@ def _smith(A: IntMatrix, ncols: int | None, uv: bool):
                     q = St[j] // St[t]
                     if q:  # col_j -= q * col_t, which is zero below row t
                         St[j] -= q * St[t]
-                        if uv:
-                            V[t] = [a + q * b for a, b in zip(V[t], V[j])]
                     if St[j]:
                         swap_cols(j, t)
                         restart = True
@@ -306,11 +254,6 @@ def _smith(A: IntMatrix, ncols: int | None, uv: bool):
             if bad_row is None:
                 break
             row_add(t, bad_row, 1)
-        if S[t][t] < 0:
-            S[t][t] = -S[t][t]
-            if uv:
-                for r in U:
-                    r[t] = -r[t]
         t += 1
 
 

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 from hypothesis import strategies as st
 
+from morseminmax.coeff import Coefficients, rank_over
 from morseminmax.complexes import FilteredComplex
 from morseminmax.gen import paper_fixture
 
@@ -67,6 +69,29 @@ def rank_fraction(A):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def invariant_factor_failures(A, factors):
+    """The properties of the invariant factors of A that ``factors`` breaks.
+
+    Each is checked by a route that shares no code with the Smith elimination:
+    ranks by Fraction row reduction and by ``rank_over``'s echelon over F_p,
+    the gcd of the entries, and determinants by Fraction elimination.
+    """
+    failures = []
+    if any(d <= 0 for d in factors) or any(b % a for a, b in zip(factors, factors[1:])):
+        failures.append("not a positive divisor chain")
+    if len(factors) != rank_fraction(A):
+        failures.append("count is not the rank over Q")
+    for p in (2, 3, 5, 7):
+        if sum(1 for d in factors if d % p) != rank_over(A, Coefficients.prime_field(p)):
+            failures.append(f"count prime to {p} is not the rank over F_{p}")
+    if (factors[0] if factors else 0) != gcd(*(v for row in A for v in row)):
+        failures.append("first factor is not the gcd of the entries")
+    m = len(A)
+    if m and len(A[0]) == m and abs(det(A)) != (prod(factors) if len(factors) == m else 0):
+        failures.append("product is not |det|")
+    return failures
 
 
 def inverse_conjugate(Plow, D, P):

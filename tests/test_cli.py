@@ -96,12 +96,38 @@ def test_selector_bad_token(capsys):
     assert "unknown coefficient token" in err
 
 
+def test_selector_prints_each_coefficient_system_once(capsys):
+    code, out, _ = run(capsys, "selector", LAUDENBACH, "--coeff", "z,q,z", "--machine")
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == ["coeff=z", "coeff=q"]
+
+
+def test_selector_refuses_an_empty_coefficient_list(capsys):
+    assert run(capsys, "selector", LAUDENBACH, "--coeff", ",") == (
+        3, "", "error: no coefficient systems given\n")
+
+
 def test_selector_not_admissible(tmp_path, capsys):
     two_free = tmp_path / "two.cplx"
     two_free.write_text("ambient 3\npoint a 1 0\npoint b 1 1\n")
     code, _, err = run(capsys, "selector", str(two_free), "--coeff", "q")
     assert code == 1
     assert "admissible" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--coeff", "z"],
+    ["selector", "--coeff", "q"],
+    ["negate"],
+    ["restrict", "--window", "0:2"],
+    ["oracle", "--coeff", "f2"],
+], ids=lambda argv: argv[0])
+def test_commands_refuse_an_invalid_complex(tmp_path, capsys, argv):
+    tied = tmp_path / "tied.cplx"
+    tied.write_text("ambient 1\npoint a 0 0\npoint b 0 0\n")
+    assert run(capsys, argv[0], str(tied), *argv[1:]) == (1, (
+        "violation code=duplicate_value detail=a and b share value 0\n"
+        "admissibility code=not_evaluated detail=admissibility skipped: complex invalid\n"), "")
 
 
 def test_reduce_field(capsys):

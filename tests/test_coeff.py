@@ -11,81 +11,37 @@ from morseminmax.coeff import (
     is_prime,
     rank_over,
     rank_profile,
-    smith_normal_form,
     sparse_product_columns,
     sparse_subtract,
 )
 
-from helpers import det, mat_mul, rank_fraction, small_matrices
+from helpers import det, invariant_factor_failures, mat_mul, rank_fraction, small_matrices
 
 
-def check_snf(A, ncols=None):
-    dec = smith_normal_form(A, ncols=ncols)
-    m = len(A)
-    n = len(A[0]) if m else (ncols or 0)
-    assert len(dec.U) == m and all(len(r) == m for r in dec.U)
-    assert len(dec.V) == n and all(len(r) == n for r in dec.V)
-    product = mat_mul(mat_mul(dec.U, dec.S), dec.V) if m and n else dec.S
-    if m and n:
-        assert product == [list(map(int, row)) for row in A]
-    assert abs(det(dec.U)) == 1
-    assert abs(det(dec.V)) == 1
-    diag = dec.diagonal
-    assert all(d >= 0 for d in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a == 0:
-            assert b == 0
-        else:
-            assert b % a == 0
-    # off-diagonal entries are zero
-    for i, row in enumerate(dec.S):
-        for j, v in enumerate(row):
-            if i != j:
-                assert v == 0
-    return dec
-
-
-def test_snf_identity():
-    dec = check_snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert dec.S == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert dec.U == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert dec.V == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
-def test_snf_diag_2_3():
+def test_invariant_factors():
+    assert invariant_factors([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
     # hand computation: gcd steps turn diag(2, 3) into diag(1, 6)
-    dec = check_snf([[2, 0], [0, 3]])
-    assert dec.diagonal == (1, 6)
-
-
-def test_snf_zero_2x3():
-    dec = check_snf([[0, 0, 0], [0, 0, 0]])
-    assert dec.S == [[0, 0, 0], [0, 0, 0]]
-
-
-def test_snf_empty_shapes():
-    assert smith_normal_form([], ncols=0).diagonal == ()
-    dec = smith_normal_form([], ncols=3)
-    assert len(dec.V) == 3
-    dec = smith_normal_form([[], []], ncols=0)
-    assert len(dec.U) == 2 and len(dec.V) == 0
+    assert invariant_factors([[2, 0], [0, 3]]) == (1, 6)
+    assert invariant_factors([[0, 0], [0, 0]]) == ()
+    assert invariant_factors([[0, 0, 0], [0, 0, 0]]) == ()
+    # a negative pivot is reported by its magnitude
+    assert invariant_factors([[-4]]) == (4,)
+    assert invariant_factors([[0, -2], [-2, 0]]) == (2, 2)
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
-def test_snf_random(A):
-    check_snf(A, ncols=len(A[0]) if A else 0)
+def test_invariant_factors_random(A):
+    n = len(A[0]) if A else 0
+    assert invariant_factor_failures(A, invariant_factors(A, ncols=n)) == []
 
 
-def test_snf_determinism():
+def test_invariant_factors_leave_their_input_alone():
     rng = random.Random(5)
     A = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
-    assert smith_normal_form(A) == smith_normal_form(A)
-
-
-def test_invariant_factors():
-    assert invariant_factors([[2, 0], [0, 3]]) == (1, 6)
-    assert invariant_factors([[0, 0], [0, 0]]) == ()
+    copy = [row[:] for row in A]
+    assert invariant_factors(A) == invariant_factors(copy)
+    assert A == copy
 
 
 def _diagonal_by_minor_gcds(A):
@@ -110,30 +66,18 @@ def _diagonal_by_minor_gcds(A):
     return tuple(diag)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4).flatmap(
-    lambda m: st.integers(1, 4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-6, 6), min_size=n, max_size=n),
-            min_size=m, max_size=m))))
-def test_snf_diagonal_matches_minor_gcds(A):
-    assert smith_normal_form(A).diagonal == _diagonal_by_minor_gcds(A)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 4).flatmap(
     lambda m: st.integers(0, 4).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-6, 6), min_size=n, max_size=n),
             min_size=m, max_size=m).map(lambda A: (A, n)))))
-def test_invariant_factors_without_u_and_v(case):
-    # the elimination without U and V gives the diagonal that the one with
-    # them gives, and the gcds of minors fix
+def test_invariant_factors_match_minor_gcds(case):
     A, n = case
-    diagonal = smith_normal_form(A, ncols=n).diagonal
-    assert invariant_factors(A, ncols=n) == tuple(d for d in diagonal if d)
-    if A and n:
-        assert invariant_factors(A) == tuple(d for d in _diagonal_by_minor_gcds(A) if d)
+    factors = invariant_factors(A, ncols=n)
+    assert factors == tuple(d for d in _diagonal_by_minor_gcds(A) if d)
+    if A:
+        assert invariant_factors(A) == factors
 
 
 def test_invariant_factors_of_empty_shapes():
@@ -209,6 +153,21 @@ def test_coefficients_tokens():
             Coefficients.parse(token)
     with pytest.raises(ValueError):
         Coefficients.prime_field(1)
+
+
+@pytest.mark.parametrize("p", [3.0, "3", True, None])
+def test_prime_field_needs_an_int_modulus(p):
+    # 3.0 passes is_prime and True compares as 1; neither may name a field
+    with pytest.raises(ValueError, match="needs an int modulus"):
+        Coefficients.prime_field(p)
+
+
+def test_coefficients_refuse_an_unknown_kind_or_a_stray_modulus():
+    with pytest.raises(ValueError, match="unknown coefficient kind 'R'"):
+        Coefficients("R")
+    for kind in ("Z", "Q"):
+        with pytest.raises(ValueError, match=f"coefficient system {kind} takes no modulus"):
+            Coefficients(kind, 3)
 
 
 def test_is_prime():

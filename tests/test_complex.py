@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morseminmax import certify, coeff, complexes
+from morseminmax import barannikov, certify, coeff, complexes
 from morseminmax.barannikov import (
     Certified,
     Obstructed,
@@ -378,22 +378,22 @@ def test_homology_data_matches_oracle():
 
 
 def test_validate_needs_no_smith_form_or_echelon_when_certified(monkeypatch):
-    # a record of the shapes validate hands to the Smith elimination, which
-    # invariant_factors and smith_normal_form share: none on a certified
-    # complex, and on an obstructed one only the small residue of its
-    # non-unit pivots, however large the complex
+    # a record of the shapes validate hands to invariant_factors, the only
+    # Smith elimination: none on a certified complex, and on an obstructed
+    # one only the small residue of its non-unit pivots, however large the
+    # complex
     shapes, echelons = [], []
-    smith, echelon = coeff._smith, coeff._echelon
+    smith, echelon = barannikov.invariant_factors, coeff._echelon
 
-    def recording(A, ncols, uv):
+    def recording(A, ncols=None):
         shapes.append((len(A), len(A[0]) if A else ncols))
-        return smith(A, ncols, uv)
+        return smith(A, ncols=ncols)
 
     def counting(rows, field):
         echelons.append(len(rows))
         return echelon(rows, field)
 
-    monkeypatch.setattr(coeff, "_smith", recording)
+    monkeypatch.setattr(barannikov, "invariant_factors", recording)
     monkeypatch.setattr(coeff, "_echelon", counting)
     certified = [paper_fixture("f0")]
     certified += [random_admissible_complex(seed, max_points=30) for seed in range(20)]

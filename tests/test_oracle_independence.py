@@ -29,10 +29,10 @@ FORBIDDEN = {
     "back_substitute",
 }
 
-# the fast path reaches Smith code only through invariant_factors, on the
-# residue of an integer reduction
-REFERENCE = {"rank_over", "rank_profile", "_echelon", "smith_normal_form", "_smith",
-             "SmithDecomposition", "identity_matrix"}
+# the oracle's elimination over a field; the fast path may import
+# invariant_factors, the only Smith elimination, which it runs on the
+# residue of an integer reduction and the oracle on whole boundary matrices
+REFERENCE = {"rank_over", "rank_profile", "_echelon"}
 
 
 def imported_names(source: str) -> set[str]:
