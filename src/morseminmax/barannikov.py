@@ -147,7 +147,7 @@ def _invariant_factors(reduction) -> tuple[int, ...]:
     for col in residue:
         back_substitute(col, units)
     rows = sorted(set().union(*residue))
-    rest = invariant_factors([[col.get(i, 0) for col in residue] for i in rows]) if rows else ()
+    rest = invariant_factors([[col.get(i, 0) for col in residue] for i in rows])
     return (1,) * len(units) + rest
 
 

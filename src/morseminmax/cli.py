@@ -15,6 +15,7 @@ from .barannikov import Certified, Obstructed, betti, reduce as breduce, reduce_
 from .coeff import Coefficients, INTEGERS
 from .complexes import (
     FilteredComplex,
+    _violations,
     global_index,
     negate,
     parse_complex,
@@ -91,9 +92,9 @@ def _load(path: str) -> FilteredComplex:
 
 
 def _valid(c: FilteredComplex) -> FilteredComplex:
-    report = validate(c)
-    if not report.ok:
-        for line in report.describe():
+    """c, once its structure is checked; the report words a failure."""
+    if _violations(c):
+        for line in validate(c).describe():
             print(line)
         raise _Exit(1)
     return c
@@ -202,8 +203,7 @@ def _cmd_oracle(args) -> int:
         torsion = ",".join(str(d) for d in h.torsion) or "-"
         print(f"homology degree={k} rank={h.rank} torsion={torsion}")
     if coeff.is_field:
-        order = {p.name: i for i, p in enumerate(c.all_points())}
-        for upper, lower in sorted(pairs_by_rank(c, coeff), key=lambda pr: order[pr[0].name]):
+        for upper, lower in sorted(pairs_by_rank(c, coeff), key=lambda pr: pr[0].value):
             print(f"pair upper={upper.name} lower={lower.name}")
         try:
             value, point = minmax_scan_field(c, coeff)

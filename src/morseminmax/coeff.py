@@ -174,10 +174,10 @@ def back_substitute(col: dict, basis) -> dict:
     return coeffs
 
 
-def invariant_factors(A: IntMatrix, *, ncols: int | None = None) -> tuple[int, ...]:
+def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     """The invariant factors of an integer matrix: the nonzero diagonal
-    entries of its Smith normal form, positive, each dividing the next.
-    ``ncols`` gives the column count of a matrix with no rows.
+    entries of its Smith normal form, positive, each dividing the next. A
+    matrix with no rows has none, whatever its column count.
 
     An int copy S of A is diagonalized. Each step t moves a first nonzero
     entry of least magnitude (rows first; the search stops at a unit) to
@@ -188,7 +188,7 @@ def invariant_factors(A: IntMatrix, *, ncols: int | None = None) -> tuple[int, .
     touches only row t.
     """
     m = len(A)
-    n = len(A[0]) if m else (ncols if ncols is not None else 0)
+    n = len(A[0]) if m else 0
     S = [list(map(int, row)) for row in A]
     for row in S:
         if len(row) != n:

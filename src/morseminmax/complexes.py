@@ -312,14 +312,13 @@ def parse_complex(data: bytes | str, *, check: bool = True) -> FilteredComplex:
     :mod:`grammar`.
 
     Raises ParseError (with line/column) on malformed input. With ``check``
-    (the default) the parsed complex is validated and InvalidComplexError is
-    raised when any complex invariant fails.
+    (the default) the structure of the parsed complex is checked and
+    InvalidComplexError, carrying the :func:`validate` report, is raised
+    when any complex invariant fails; admissibility is not computed.
     """
     c = FilteredComplex._assemble(*read_complex(data))
-    if check:
-        report = validate(c)
-        if not report.ok:
-            raise InvalidComplexError(report)
+    if check and _violations(c):
+        raise InvalidComplexError(validate(c))
     return c
 
 

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import CriticalPoint, FilteredComplex, _conjugate, memoized
+from .complexes import CriticalPoint, FilteredComplex, _conjugate, _integer, memoized
 from .errors import InternalInconsistencyError
 
 FIXTURE_NAMES = ("laudenbach", "f0", "capitanio_v", "capitanio_vprime")
@@ -102,6 +102,8 @@ def random_complex_plan(seed: int, sizes: dict[int, int], ambient: int,
     triangular unit-diagonal integer matrices, drawn as sparse columns.
     Unmatched points stay free; with a maximum matching leaving exactly one
     point unmatched the result carries rank-one torsion-free homology.
+    Integral degrees, counts and ambient are taken as ints, as
+    ``FilteredComplex.build`` takes them; any other raises ValueError.
     """
     rng, points, boundaries, plan = _layout(seed, sizes, ambient)
     normal = FilteredComplex.build(ambient, points, boundaries)
@@ -119,14 +121,16 @@ def _layout(seed, sizes, ambient):
     """The seeded generator after the points of :func:`random_complex_plan`
     are laid out, with their ``(name, degree, value)`` triples, the
     normal-form boundary of the matching and its plan."""
-    if int(ambient) < 1:
-        raise ValueError("infeasible sizes: ambient must be >= 1")
+    if (ambient := _integer(ambient)) is None or ambient < 1:
+        raise ValueError("infeasible sizes: ambient must be an integer >= 1")
     clean: dict[int, int] = {}
-    for k, v in sizes.items():
-        if int(v) < 0 or int(k) < 0 or int(k) > ambient:
-            raise ValueError(f"infeasible sizes: degree {k} count {v} with ambient {ambient}")
-        if int(v):
-            clean[int(k)] = int(v)
+    for key, count in sizes.items():
+        k, v = _integer(key), _integer(count)
+        if k is None or v is None or v < 0 or not 0 <= k <= ambient:
+            raise ValueError(f"infeasible sizes: degree {key} count {count} "
+                             f"with ambient {ambient}")
+        if v:
+            clean[k] = v
     total = sum(clean.values())
     if total == 0:
         raise ValueError("infeasible sizes: no points requested")
@@ -193,12 +197,12 @@ def random_complex(seed: int, sizes: dict[int, int], ambient: int) -> FilteredCo
 
 def random_admissible_complex(seed: int, max_points: int = 40) -> FilteredComplex:
     """Seeded random complex with rank-one torsion-free total homology and
-    at most ``max_points`` points, which must be at least 3."""
-    if max_points < 3:
-        raise ValueError(f"max_points must be at least 3, not {max_points}")
+    at most ``max_points`` points, an integral number of at least 3."""
+    if (m := _integer(max_points)) is None or m < 3:
+        raise ValueError(f"max_points must be at least 3 and integral, not {max_points}")
     rng = random.Random(("admissible", seed).__repr__())
     ambient = rng.randint(2, 6)
-    n_pairs = rng.randint(1, (max_points - 1) // 2)
+    n_pairs = rng.randint(1, (m - 1) // 2)
     slots = list(range(1, ambient + 1))
     pair_at = {k: 0 for k in slots}
     for _ in range(n_pairs):

@@ -34,21 +34,15 @@ class HomologySummary:
     torsion: tuple[int, ...] = ()
 
 
+@memoized
 def _rank(c: FilteredComplex, field: Coefficients, k: int,
           first_row: int = 0, ncols: int | None = None) -> int:
     """Rank over ``field`` of the submatrix ``D_k[first_row:, :ncols]`` of the
-    degree-k boundary matrix; the full matrix's rank is memoized per complex."""
+    degree-k boundary matrix, memoized per complex."""
     n = len(c.points(k)) if ncols is None else ncols
     if not n or first_row >= len(c.points(k - 1)):
         return 0
-    if first_row == 0 and n == len(c.points(k)):
-        return _full_rank(c, field, k)
     return rank_over([r[:n] for r in c.matrix(k)[first_row:]], field)
-
-
-@memoized
-def _full_rank(c: FilteredComplex, field: Coefficients, k: int) -> int:
-    return rank_over(c.matrix(k), field)
 
 
 @memoized
@@ -57,7 +51,7 @@ def _factors(c: FilteredComplex, k: int) -> tuple[int, ...]:
     per complex; their count is its rank."""
     if not (c.points(k - 1) and c.points(k)):
         return ()
-    return invariant_factors([list(r) for r in c.matrix(k)], ncols=len(c.points(k)))
+    return invariant_factors(c.matrix(k))
 
 
 def homology(c: FilteredComplex, coeff: Coefficients, k: int) -> HomologySummary:

@@ -556,10 +556,10 @@ def test_dead_columns_are_an_echelon_kernel_basis(A):
         assert len(prefix) == s - rank_fraction([row[:s] for row in A])
         # saturated: the prefix vectors span every integer cycle of the
         # first s columns, not a finite-index sublattice of them
-        assert set(invariant_factors(prefix, ncols=n)) <= {1}
+        assert set(invariant_factors(prefix)) <= {1}
     # the +-1 pivots and the residue's Smith form give every invariant factor
     reduction = _reduce_degree(sparse_columns(A, n), INTEGERS)
-    assert _invariant_factors(reduction) == invariant_factors(A, ncols=n)
+    assert _invariant_factors(reduction) == invariant_factors(A)
 
 
 def test_invariant_factors_of_a_residue():

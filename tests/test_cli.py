@@ -130,6 +130,32 @@ def test_commands_refuse_an_invalid_complex(tmp_path, capsys, argv):
         "admissibility code=not_evaluated detail=admissibility skipped: complex invalid\n"), "")
 
 
+class _ReducedOverZ(Exception):
+    pass
+
+
+def test_only_the_commands_that_read_it_reduce_over_z(monkeypatch, capsys):
+    # negate, restrict and oracle check structure only; validate, reduce and
+    # selector read the integer reduction
+    def refuse(c):
+        raise _ReducedOverZ
+
+    monkeypatch.setattr(barannikov, "_integer_outcome", refuse)
+    paths = sorted(DATA_DIR.glob("*.cplx"))
+    assert len(paths) == 4
+    for path in map(str, paths):
+        parse_complex(Path(path).read_text())
+        for argv in (["negate"], ["restrict", "--window", "1/2:7/2"],
+                     ["oracle", "--coeff", "z"], ["oracle", "--coeff", "q"],
+                     ["oracle", "--coeff", "f2"]):
+            code, out, _ = run(capsys, argv[0], path, *argv[1:])
+            assert (code, bool(out)) == (0, True), (path, argv)
+        for argv in (["validate"], ["reduce", "--coeff", "z"], ["reduce", "--coeff", "q"],
+                     ["reduce", "--coeff", "f2"], ["selector", "--coeff", "q"]):
+            with pytest.raises(_ReducedOverZ):
+                main([argv[0], path, *argv[1:]])
+
+
 def test_reduce_field(capsys):
     code, out, _ = run(capsys, "reduce", LAUDENBACH, "--coeff", "f2")
     assert code == 0

@@ -160,13 +160,29 @@ def test_random_complex_deterministic():
     assert serialize(c) != serialize(a)
 
 
-def test_random_complex_infeasible_sizes():
-    with pytest.raises(ValueError):
-        random_complex(0, {}, 3)
-    with pytest.raises(ValueError):
-        random_complex(0, {5: 1}, 3)
-    with pytest.raises(ValueError):
-        random_complex(0, {1: -2}, 3)
+@pytest.mark.parametrize("sizes, ambient", [
+    ({}, 3), ({5: 1}, 3), ({1: -2}, 3),
+    # a degree, count or ambient that is not integral
+    ({1.5: 2, 2: 1}, 3), ({1: 2.7, 2: 1}, 3), ({-0.5: 1, 2: 1}, 3), ({1: "x", 2: 1}, 3),
+    ({1: 2, 2: 1}, 2.5), ({1: 2, 2: 1}, Fraction(5, 2)), ({1: 2, 2: 1}, "x"),
+    ({1: 2, 2: 1}, None),
+])
+def test_random_complex_infeasible_sizes(sizes, ambient):
+    with pytest.raises(ValueError, match="infeasible sizes"):
+        random_complex(0, sizes, ambient)
+
+
+@pytest.mark.parametrize("ambient", [2.0, "3", Fraction(3)])
+def test_random_complex_takes_an_integral_ambient_as_an_int(ambient):
+    c, plan = random_complex_plan(7, {1: 2.0, 2.0: 1}, ambient)
+    expected, expected_plan = random_complex_plan(7, {1: 2, 2: 1}, int(ambient))
+    assert type(c.ambient_dim) is int
+    assert (serialize(c), plan) == (serialize(expected), expected_plan)
+
+
+def test_random_admissible_complex_takes_an_integral_bound_as_an_int():
+    assert serialize(random_admissible_complex(1, max_points=40.0)) == \
+        serialize(random_admissible_complex(1, max_points=40))
 
 
 def test_random_admissible_complex_bounds():
@@ -179,7 +195,7 @@ def test_random_admissible_complex_bounds():
     assert all(random_admissible_complex(seed, max_points=3).n_points == 3 for seed in range(20))
 
 
-@pytest.mark.parametrize("max_points", [2, 1, 0, -5])
+@pytest.mark.parametrize("max_points", [2, 1, 0, -5, 3.5, "x"])
 def test_random_admissible_complex_refuses_a_bound_below_three_points(max_points):
     with pytest.raises(ValueError, match="max_points must be at least 3"):
         random_admissible_complex(0, max_points=max_points)

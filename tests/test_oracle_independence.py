@@ -1,10 +1,13 @@
 """The rank-scan oracle is one of three independent routes to the selectors,
-so ``oracle.py`` must not import the column reduction, the selectors or the
-fast-path helpers they share, and the fast path must not import the
-oracle's elimination routines."""
+so ``oracle.py`` must not import the column reduction, the selectors, the
+fast-path helpers they share or the checks of ``certify`` and of
+``complexes.validate``, and the fast path must not import the oracle's
+elimination routines."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 from morseminmax import barannikov, complexes
 from morseminmax.barannikov import betti, reduce
@@ -21,12 +24,38 @@ FAST_PATH = [PACKAGE / name for name in ("barannikov.py", "complexes.py", "selec
 FORBIDDEN = {
     "barannikov",
     "selector",
+    "certify",
     "global_index",
     "_reduce_degree",
     "integer_kernel_basis",
     "sparse_columns",
     "sparse_product_columns",
     "back_substitute",
+    "_verify_normal_form",
+    "_structural_defects",
+    "_homology_data",
+    "_admissibility",
+    "_violations",
+    "validate",
+}
+
+# per forbidden name, an import of it from where it lives or lived
+PLANTED = {
+    "barannikov": "from . import barannikov",
+    "selector": "import morseminmax.selector",
+    "certify": "from . import certify",
+    "global_index": "from .complexes import global_index",
+    "_reduce_degree": "from .barannikov import _reduce_degree",
+    "integer_kernel_basis": "from .coeff import integer_kernel_basis",
+    "sparse_columns": "from .coeff import sparse_columns",
+    "sparse_product_columns": "from .coeff import sparse_product_columns",
+    "back_substitute": "from .coeff import back_substitute",
+    "_verify_normal_form": "from .certify import _verify_normal_form",
+    "_structural_defects": "from .certify import _structural_defects",
+    "_homology_data": "from .complexes import _homology_data",
+    "_admissibility": "from .complexes import _admissibility",
+    "_violations": "from .complexes import _violations",
+    "validate": "from .complexes import validate",
 }
 
 # the oracle's elimination over a field; the fast path may import
@@ -58,6 +87,12 @@ def test_imported_names_sees_every_import_form():
 
 def test_oracle_imports_no_fast_path():
     assert imported_names(ORACLE.read_text()) & FORBIDDEN == set()
+
+
+@pytest.mark.parametrize("name", sorted(FORBIDDEN))
+def test_a_planted_import_in_the_oracle_is_caught(name):
+    source = ORACLE.read_text() + f"\n\ndef planted():\n    {PLANTED[name]}\n"
+    assert name in imported_names(source) & FORBIDDEN
 
 
 def test_reference_check_sees_a_nested_or_renamed_import():

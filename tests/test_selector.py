@@ -7,7 +7,7 @@ import pytest
 from morseminmax import selector
 from morseminmax.barannikov import Obstructed, reduce_integer
 from morseminmax.coeff import Coefficients, INTEGERS, RATIONALS
-from morseminmax.complexes import FilteredComplex, change_basis, negate, validate
+from morseminmax.complexes import FilteredComplex, change_basis, negate, parse_complex, validate
 from morseminmax.errors import InternalInconsistencyError, NotAdmissibleError
 from morseminmax.gen import (
     paper_fixture,
@@ -15,6 +15,7 @@ from morseminmax.gen import (
     random_admissible_complex,
     single_point,
 )
+from morseminmax.oracle import minmax_scan_field
 from morseminmax.selector import (
     capitanio_criterion,
     maxmin_field,
@@ -269,6 +270,41 @@ def test_split_complex_with_characteristic_three():
     report = selector_report(c, [INTEGERS, F2, F3, RATIONALS])
     assert not report.int_equal
     assert report.chain_ok and report.propagation_ok
+
+
+# five points conjugated away from a normal form (seed 73 of a random
+# conjugation at five points): the degree-2 cycles below x0 reach only four
+# times the generator of H_2 over Z, while over F_2 x2 is already a cycle
+SEED_73 = """ambient 4
+point w0 1 0
+point x1 2 1
+point x2 2 2
+point x0 2 3
+point h0 3 4
+boundary x1 : 16*w0
+boundary x2 : -14*w0
+boundary x0 : -13*w0
+boundary h0 : -3*x1 4*x2 -8*x0
+"""
+
+
+def test_integer_selectors_sit_outside_every_field_on_both_sides():
+    # on Laudenbach the integer minmax meets F_2's and the maxmin Q's; here Z
+    # is strictly above every field on the minmax side and below on the maxmin
+    c = parse_complex(SEED_73)
+    outcome = reduce_integer(c)
+    assert isinstance(outcome, Obstructed)
+    assert (outcome.column.name, outcome.pivot) == ("x1", 16)
+    report = selector_report(c, [INTEGERS, RATIONALS, F2, F3, F5])
+    z, *fields = report.entries
+    assert (z.minmax_value, z.minmax_point.name) == (3, "x0")
+    assert (z.maxmin_value, z.maxmin_point.name) == (1, "x1")
+    for e in fields:
+        assert (e.minmax_value, e.minmax_point.name) == (2, "x2"), e.coeff
+        assert (e.maxmin_value, e.maxmin_point.name) == (2, "x2"), e.coeff
+    assert (report.int_equal, report.chain_ok, report.propagation_ok) == (False, True, True)
+    for field in (RATIONALS, F2, F3):
+        assert minmax_scan_field(c, field) == (2, c.point("x2"))
 
 
 def _primitive_kernel(rows, ncols):
